@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .specfun import as_gamma, ln_beta
+from .specfun import as_gamma, ln_beta, readonly
 
 __all__ = [
     "QuadratureRule1D",
@@ -35,12 +35,16 @@ __all__ = [
 
 @dataclass
 class QuadratureRule1D:
-    """Nodes/weights for (1-x)^a (1+x)^b on [-1, 1]."""
+    """Nodes/weights for (1-x)^a (1+x)^b on [-1, 1], as read-only copies."""
 
     nodes: np.ndarray
     weights: np.ndarray
     a: float
     b: float
+
+    def __post_init__(self):
+        self.nodes = readonly(self.nodes, float)
+        self.weights = readonly(self.weights, float)
 
     def integrate(self, values: np.ndarray):
         """Contract sampled values (last axis = nodes) with the weights."""
@@ -100,7 +104,7 @@ def jacobi_weight_moments(count: int, a: float, b: float) -> np.ndarray:
 
 @dataclass
 class DiskQuadrature:
-    """Tensor rule on the closed disk for the measure d^gamma dA."""
+    """Tensor rule on the closed disk for the measure d^gamma dA; arrays are read-only."""
 
     gamma: float
     radial_nodes: np.ndarray  # u = rho^2 nodes in (0, 1)
@@ -114,11 +118,13 @@ class DiskQuadrature:
     def __post_init__(self):
         m = self.angular_count
         om = 2.0 * math.pi * np.arange(m) / m
+        self.radial_nodes = readonly(self.radial_nodes, float)
+        self.radial_weights = readonly(self.radial_weights, float)
         rho = np.sqrt(self.radial_nodes)
-        self.rho = np.repeat(rho, m)
-        self.omega = np.tile(om, rho.size)
-        self.weights = np.repeat(self.radial_weights * (2.0 * math.pi / m), m)
-        self.z = self.rho * np.exp(1j * self.omega)
+        self.rho = readonly(np.repeat(rho, m))
+        self.omega = readonly(np.tile(om, rho.size))
+        self.weights = readonly(np.repeat(self.radial_weights * (2.0 * math.pi / m), m))
+        self.z = readonly(self.rho * np.exp(1j * self.omega))
 
     def integrate(self, values: np.ndarray):
         """Integrate sampled values (aligned with .z) against d^gamma dA."""
@@ -148,6 +154,7 @@ class BoundaryQuadrature:
     Stored data live on the grid (beta_i, s_j), s = sin(alpha).  Pairings of
     regular factors carry the net weight mu^(2*gamma+2) dbeta dalpha
     = (1-s^2)^(gamma+1/2) dbeta ds, which is the Jacobi weight of the s-rule.
+    Node and weight arrays are read-only copies.
     """
 
     gamma: float
@@ -157,7 +164,10 @@ class BoundaryQuadrature:
     alpha: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.alpha = np.arcsin(np.clip(self.s_nodes, -1.0, 1.0))
+        self.beta = readonly(self.beta, float)
+        self.s_nodes = readonly(self.s_nodes, float)
+        self.s_weights = readonly(self.s_weights, float)
+        self.alpha = readonly(np.arcsin(np.clip(self.s_nodes, -1.0, 1.0)))
 
     @property
     def beta_count(self) -> int:

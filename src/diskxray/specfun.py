@@ -19,6 +19,7 @@ __all__ = [
     "WeightParam",
     "JacobiParams",
     "as_gamma",
+    "gamma_matches",
     "ln_gamma",
     "beta",
     "ln_beta",
@@ -50,6 +51,18 @@ def as_gamma(gamma) -> float:
     if isinstance(gamma, WeightParam):
         return gamma.gamma
     return WeightParam(float(gamma)).gamma
+
+
+def gamma_matches(a: float, b: float) -> bool:
+    """Whether two weight exponents agree to 1e-14, i.e. name the same transform pair."""
+    return abs(a - b) <= 1e-14
+
+
+def readonly(values, dtype=None) -> np.ndarray:
+    """A read-only copy of ``values``: the array type of fields, rules and sinograms."""
+    out = np.array(values, dtype=dtype)
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .quadrature import BoundaryQuadrature
-from .specfun import as_gamma, gegenbauer_L, gegenbauer_norm_sq, ln_binomial, ln_gamma
+from .specfun import as_gamma, gamma_matches, gegenbauer_L, gegenbauer_norm_sq, ln_gamma, readonly
 from .xray import Sinogram
-from .zernike import CoefficientField
+from .zernike import CoefficientField, triangle, write_table
 
 __all__ = [
     "BoundaryMode",
@@ -35,9 +34,9 @@ __all__ = [
     "sigma_sq",
     "sigma_sq_beta_form",
     "sigma_ratio",
+    "sigma_sq_flat",
     "sigma_sq_triangle",
     "funcrel_sigma_sq",
-    "funcrel_sigma_sq_beta",
     "analyze",
     "synthesize",
     "invert",
@@ -102,10 +101,22 @@ def _check_sigma_index(n: int, k: int) -> None:
         raise ValueError(f"kernel mode (n, k) = ({n}, {k}) has no singular value")
 
 
-def sigma_sq(n: int, k: int, gamma) -> float:
-    """Squared singular value, Gamma form, in log space:
+def _ln_gamma_terms(j: int, g: float) -> tuple[float, float, float]:
+    """The three log-gamma families of sigma^2 at j: lnG(j+1), lnG(j+g+1), lnG(j+2g+2)."""
+    return ln_gamma(j + 1.0), ln_gamma(j + g + 1.0), ln_gamma(j + 2.0 * g + 2.0)
+
+
+def _ln_sigma_sq(g: float, at_n, at_k, at_nk):
+    """log sigma^2 from the log-gamma terms at n, k and n-k (scalars or arrays):
 
     sigma^2 = 2^(2g+2) pi C(n,k) Gamma(n-k+g+1) Gamma(k+g+1) / Gamma(n+2g+2).
+    """
+    ln_binomial = at_n[0] - at_k[0] - at_nk[0]
+    return (2.0 * g + 2.0) * math.log(2.0) + math.log(math.pi) + ln_binomial + at_nk[1] + at_k[1] - at_n[2]
+
+
+def sigma_sq(n: int, k: int, gamma) -> float:
+    """Squared singular value, Gamma form, in log space (see ``_ln_sigma_sq``).
 
     The formula is symmetric under k <-> n-k; the evaluation canonicalizes
     the index so that symmetry holds bit-exactly.
@@ -113,14 +124,7 @@ def sigma_sq(n: int, k: int, gamma) -> float:
     g = as_gamma(gamma)
     _check_sigma_index(n, k)
     k = min(k, n - k)
-    return math.exp(
-        (2.0 * g + 2.0) * math.log(2.0)
-        + math.log(math.pi)
-        + ln_binomial(float(n), float(k))
-        + ln_gamma(n - k + g + 1.0)
-        + ln_gamma(k + g + 1.0)
-        - ln_gamma(n + 2.0 * g + 2.0)
-    )
+    return math.exp(_ln_sigma_sq(g, _ln_gamma_terms(n, g), _ln_gamma_terms(k, g), _ln_gamma_terms(n - k, g)))
 
 
 def sigma_sq_beta_form(n: int, k: int, gamma) -> float:
@@ -150,24 +154,23 @@ def sigma_ratio(n: int, k: int, gamma) -> float:
     return (n - k) / (n - k + g) * (k + 1.0 + g) / (k + 1.0)
 
 
-def sigma_sq_triangle(gamma, degree: int) -> list[np.ndarray]:
-    """sigma^2 arrays per degree n <= degree, vectorized over k."""
+def sigma_sq_flat(gamma, degree: int) -> np.ndarray:
+    """sigma^2 over ``triangle(degree)``, aligned with CoefficientField.coeffs.
+
+    Bit-identical to ``sigma_sq``: the same expression on tabulated log-gamma
+    terms, exponentiated by ``math.exp``.
+    """
     g = as_gamma(gamma)
-    out = []
-    for n in range(degree + 1):
-        k = np.minimum(np.arange(n + 1, dtype=float), n - np.arange(n + 1, dtype=float))
-        ln = (
-            (2.0 * g + 2.0) * math.log(2.0)
-            + math.log(math.pi)
-            + gammaln(n + 1.0)
-            - gammaln(k + 1.0)
-            - gammaln(n - k + 1.0)
-            + gammaln(n - k + g + 1.0)
-            + gammaln(k + g + 1.0)
-            - gammaln(n + 2.0 * g + 2.0)
-        )
-        out.append(np.exp(ln))
-    return out
+    tri = triangle(degree)
+    terms = np.array([_ln_gamma_terms(j, g) for j in range(degree + 1)]).T
+    k = np.minimum(tri.k, tri.n - tri.k)
+    ln = _ln_sigma_sq(g, terms[:, tri.n], terms[:, k], terms[:, tri.n - k])
+    return readonly(np.fromiter(map(math.exp, ln.tolist()), float, tri.n.size))
+
+
+def sigma_sq_triangle(gamma, degree: int) -> list[np.ndarray]:
+    """sigma^2 rows per degree n <= degree: views of ``sigma_sq_flat``."""
+    return np.split(sigma_sq_flat(gamma, degree), triangle(degree).starts[1:-1])
 
 
 def funcrel_sigma_sq(n: int, k: int, gamma) -> float:
@@ -190,36 +193,25 @@ def funcrel_sigma_sq(n: int, k: int, gamma) -> float:
     )
 
 
-def funcrel_sigma_sq_beta(n: int, k: int, gamma) -> float:
-    """Beta-ratio line of the functional relation (must agree with the Gamma line)."""
-    return sigma_sq_beta_form(n, k, gamma)
-
-
-@dataclass
+@dataclass(frozen=True)
 class SpectrumTable:
-    """Tabulated singular values sigma_{n,k} for n <= degree."""
+    """Tabulated singular values sigma_{n,k} for n <= degree: the sigma that
+    synthesis and inversion use."""
 
     gamma: float
     degree: int
-    values: list[np.ndarray]  # values[n][k] = sigma_{n,k}
+    values: np.ndarray  # sigma over triangle(degree), aligned with CoefficientField.coeffs
 
     @classmethod
     def build(cls, gamma, degree: int) -> "SpectrumTable":
         g = as_gamma(gamma)
-        return cls(g, int(degree), [np.sqrt(row) for row in sigma_sq_triangle(g, degree)])
+        return cls(g, int(degree), readonly(np.sqrt(sigma_sq_flat(g, degree))))
 
     def rows(self):
-        for n in range(self.degree + 1):
-            for k in range(n + 1):
-                s = float(self.values[n][k])
-                yield n, k, s, s * s
+        return ((n, k, s, s * s) for (n, k), s in zip(triangle(self.degree).pairs(), self.values.tolist()))
 
     def write(self, path) -> None:
-        lines = ["n,k,sigma,sigma_sq"]
-        for n, k, s, s2 in self.rows():
-            lines.append(f"{n},{k},{s:.17g},{s2:.17g}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_table(path, ["n,k,sigma,sigma_sq"], self.rows())
 
 
 def _require_resolution(rule: BoundaryQuadrature, degree: int, k_extra: int) -> None:
@@ -240,6 +232,11 @@ def analyze(sino, degree: int, k_extra: int = 3) -> dict[tuple[int, int], comple
     coefficients with k outside [0, n] measure the component of the data in
     the kernel of the backprojection (range defect).
     """
+    return _pairings(sino, degree, k_extra, band_only=False)
+
+
+def _pairings(sino, degree: int, k_extra: int, band_only: bool) -> dict[tuple[int, int], complex]:
+    """<g, psihat_{n,k}> for n <= degree, k in [-k_extra, n + k_extra] (outside [0, n] if band_only)."""
     rule = sino.rule
     _require_resolution(rule, degree, k_extra)
     beta, _ = rule.grids()
@@ -247,21 +244,23 @@ def analyze(sino, degree: int, k_extra: int = 3) -> dict[tuple[int, int], comple
     out = {}
     for n in range(degree + 1):
         for k in range(-k_extra, n + k_extra + 1):
-            modal = psi_hat_values(n, k, sino.gamma, beta, s)
-            out[(n, k)] = complex(rule.pair(sino.values, modal))
+            if not (band_only and 0 <= k <= n):
+                modal = psi_hat_values(n, k, sino.gamma, beta, s)
+                out[(n, k)] = complex(rule.pair(sino.values, modal))
     return out
 
 
 def synthesize(field: CoefficientField, rule: BoundaryQuadrature) -> Sinogram:
     """Exact sinogram of a coefficient field: gtilde = sum f_{n,k} sigma psihat-tilde."""
-    if abs(as_gamma(field.gamma) - rule.gamma) > 1e-14:
+    if not gamma_matches(field.gamma, rule.gamma):
         raise ValueError(f"field gamma {field.gamma} does not match rule gamma {rule.gamma}")
     beta, _ = rule.grids()
     s = rule.s_nodes[None, :]
+    sig = np.sqrt(sigma_sq_flat(field.gamma, field.degree)).tolist()
     values = np.zeros(rule.shape, dtype=complex)
-    for n, k, c in field.modes():
+    for (n, k, c), sig_nk in zip(field.modes(), sig):
         if c != 0.0:
-            values += c * sigma(n, k, field.gamma) * psi_hat_values(n, k, field.gamma, beta, s)
+            values += c * sig_nk * psi_hat_values(n, k, field.gamma, beta, s)
     return Sinogram(gamma=field.gamma, rule=rule, values=values)
 
 
@@ -279,42 +278,26 @@ def invert(sino, degree: int, k_extra: int = 3) -> InversionResult:
 
     Kernel-band coefficients (k outside [0, n]) are reported, not inverted.
     """
-    coeffs = analyze(sino, degree, k_extra)
-    field = CoefficientField(sino.gamma, degree)
-    kernel = {}
-    for (n, k), a in coeffs.items():
-        if 0 <= k <= n:
-            field.coeffs[field.position(n, k)] = a / sigma(n, k, sino.gamma)
-        else:
-            kernel[(n, k)] = a
-    defect = max((abs(v) for v in kernel.values()), default=0.0)
+    kernel = analyze(sino, degree, k_extra)
+    sig = np.sqrt(sigma_sq_flat(sino.gamma, degree)).tolist()
+    # popping the triangle leaves the kernel band in the analysis order
+    coeffs = [kernel.pop(nk) / sig_nk for nk, sig_nk in zip(triangle(degree).pairs(), sig)]
+    field = CoefficientField(sino.gamma, degree, coeffs)
+    defect = max(map(abs, kernel.values()), default=0.0)
     return InversionResult(field=field, kernel=kernel, defect=defect)
 
 
 def range_defect(sino, degree: int, k_extra: int = 3) -> float:
     """Max |<g, psihat_{n,k}>| over the kernel band k in [-k_extra,-1] u [n+1,n+k_extra]."""
-    rule = sino.rule
-    _require_resolution(rule, degree, k_extra)
-    beta, _ = rule.grids()
-    s = rule.s_nodes[None, :]
-    worst = 0.0
-    for n in range(degree + 1):
-        for k in list(range(-k_extra, 0)) + list(range(n + 1, n + k_extra + 1)):
-            modal = psi_hat_values(n, k, sino.gamma, beta, s)
-            worst = max(worst, abs(complex(rule.pair(sino.values, modal))))
-    return worst
+    return max(map(abs, _pairings(sino, degree, k_extra, band_only=True).values()), default=0.0)
 
 
 def sobolev_norm(field: CoefficientField, s: float) -> float:
     """Spectral Sobolev norm sqrt(sum (n+1+gamma)^(2s) |f_{n,k}|^2)."""
     if s < 0:
         raise ValueError("Sobolev order must be nonnegative")
-    total = 0.0
-    for n in range(field.degree + 1):
-        base = n * (n + 1) // 2
-        block = field.coeffs[base : base + n + 1]
-        total += (n + 1.0 + field.gamma) ** (2.0 * s) * float(np.vdot(block, block).real)
-    return math.sqrt(total)
+    weights = (triangle(field.degree).n + 1.0 + field.gamma) ** (2.0 * s)
+    return math.sqrt(float(weights @ np.abs(field.coeffs) ** 2))
 
 
 @dataclass
@@ -326,6 +309,8 @@ class EnvelopeReport:
     extremizers_ok: bool
     lower_band: tuple[float, float]  # min/max over n of env(n)*(n+1)^(-e_min)
     upper_band: tuple[float, float]  # min/max over n of env(n)*(n+1)^(-e_max)
+    lower_env: tuple[float, ...]  # min_k sigma^2 * (n+1)^(-e_min) for n = 1..degree
+    upper_env: tuple[float, ...]  # max_k sigma^2 * (n+1)^(-e_max) for n = 1..degree
 
     @property
     def ok(self) -> bool:
@@ -366,6 +351,8 @@ def asym_envelope_check(gamma, degree: int) -> EnvelopeReport:
         extremizers_ok=bool(extremizers_ok),
         lower_band=(float(min(lo_vals)), float(max(lo_vals))),
         upper_band=(float(min(hi_vals)), float(max(hi_vals))),
+        lower_env=tuple(lo_vals),
+        upper_env=tuple(hi_vals),
     )
 
 
@@ -394,19 +381,16 @@ def tame_bounds_check(gamma, degree: int, s: float, trials: int = 20, seed: int 
     e_max = max(-1.0, -1.0 - g)
     if s + e_min < 0:
         raise ValueError(f"need s >= {-e_min} so all Sobolev exponents are nonnegative")
-    table = sigma_sq_triangle(g, degree)
-    weights = np.array([n + 1.0 + g for n in range(degree + 1)])
-    c_lower = min(float((table[n] * weights[n] ** (-e_min)).min()) for n in range(degree + 1))
-    c_upper = max(float((table[n] * weights[n] ** (-e_max)).max()) for n in range(degree + 1))
+    s2 = sigma_sq_flat(g, degree)
+    weights = triangle(degree).n + 1.0 + g
+    c_lower = float((s2 * weights ** (-e_min)).min())
+    c_upper = float((s2 * weights ** (-e_max)).max())
     rng = np.random.default_rng(seed)
     lo_slack = math.inf
     hi_slack = math.inf
     for _ in range(trials):
         f = CoefficientField.random(g, degree, rng)
-        nf = CoefficientField(g, degree, np.concatenate([
-            f.coeffs[n * (n + 1) // 2 : n * (n + 1) // 2 + n + 1] * table[n]
-            for n in range(degree + 1)
-        ]))
+        nf = CoefficientField(g, degree, f.coeffs * s2)
         mid = sobolev_norm(nf, s)
         lo_slack = min(lo_slack, mid - c_lower * sobolev_norm(f, s + e_min))
         hi_slack = min(hi_slack, c_upper * sobolev_norm(f, s + e_max) - mid)

@@ -23,7 +23,8 @@ import numpy as np
 
 from .geometry import DiskPoint, fanbeam_through_arrays
 from .quadrature import BoundaryQuadrature, boundary_rule, gauss_jacobi
-from .specfun import as_gamma
+from .specfun import as_gamma, readonly
+from .zernike import read_table, write_table
 
 __all__ = [
     "Sinogram",
@@ -39,7 +40,7 @@ __all__ = [
 
 @dataclass
 class Sinogram:
-    """Sampled regular factor gtilde of boundary data g = mu^(2*gamma+1) gtilde."""
+    """Sampled regular factor gtilde of boundary data g = mu^(2*gamma+1) gtilde (read-only copy)."""
 
     gamma: float
     rule: BoundaryQuadrature
@@ -47,7 +48,7 @@ class Sinogram:
 
     def __post_init__(self):
         self.gamma = as_gamma(self.gamma)
-        self.values = np.asarray(self.values, dtype=complex)
+        self.values = readonly(self.values, complex)
         if self.values.shape != self.rule.shape:
             raise ValueError(f"value array shape {self.values.shape} != rule shape {self.rule.shape}")
         if not np.all(np.isfinite(self.values)):
@@ -161,53 +162,29 @@ def adjoint_pairing_check(
 
 def write_sinogram(path, sino: Sinogram, header_extra: dict | None = None) -> None:
     """Write a sinogram as text: gamma/beta_count/s_order header, then i,j,re,im rows."""
-    lines = [
+    head = [
         f"gamma={sino.gamma:.17g}",
         f"beta_count={sino.rule.beta_count}",
         f"s_order={sino.rule.s_order}",
     ]
-    for key, val in (header_extra or {}).items():
-        lines.append(f"{key}={val}")
-    nb, ns = sino.values.shape
-    for i in range(nb):
-        for j in range(ns):
-            v = sino.values[i, j]
-            lines.append(f"{i},{j},{v.real:.17g},{v.imag:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    head += [f"{key}={val}" for key, val in (header_extra or {}).items()]
+    i, j = np.indices(sino.values.shape).reshape(2, -1)
+    v = sino.values.ravel()
+    write_table(path, head, zip(i.tolist(), j.tolist(), v.real.tolist(), v.imag.tolist()))
 
 
 def read_sinogram(path) -> tuple[Sinogram, dict]:
-    """Parse a sinogram file; the rule is rebuilt from the recorded sizes."""
-    header = {}
-    entries = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" in line:
-                key, _, val = line.partition("=")
-                header[key.strip()] = val.strip()
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 'i,j,re,im', got {line!r}")
-            try:
-                i, j = int(parts[0]), int(parts[1])
-                re, im = float(parts[2]), float(parts[3])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            entries.append((i, j, complex(re, im), lineno))
-    for key in ("gamma", "beta_count", "s_order"):
-        if key not in header:
-            raise ValueError(f"{path}: missing header field {key}")
+    """Parse a sinogram file (exactly one row per node); the rule is rebuilt from the recorded sizes."""
+    header, rows = read_table(path, ("gamma", "beta_count", "s_order"), "i,j,re,im")
     gamma = float(header["gamma"])
     nb, ns = int(header["beta_count"]), int(header["s_order"])
     rule = boundary_rule(gamma, nb, ns)
     values = np.zeros((nb, ns), dtype=complex)
-    for i, j, v, lineno in entries:
+    for (i, j), (v, lineno) in rows.items():
         if not (0 <= i < nb and 0 <= j < ns):
             raise ValueError(f"{path}:{lineno}: node index ({i}, {j}) out of range")
         values[i, j] = v
+    if len(rows) < nb * ns:
+        i, j = next((i, j) for i in range(nb) for j in range(ns) if (i, j) not in rows)
+        raise ValueError(f"{path}: no row for node index ({i}, {j}); {len(rows)} of {nb * ns} present")
     return Sinogram(gamma=gamma, rule=rule, values=values), header

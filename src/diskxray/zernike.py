@@ -9,11 +9,13 @@ family used throughout carries the phase convention
 
 which makes the derivative ladders below hold with real coefficients.
 Coefficient fields store the dense lower-triangular array of expansion
-coefficients in this orthonormal basis.
+coefficients in this orthonormal basis.  The text-table format of coefficient,
+sinogram and spectrum files (``write_table``/``read_table``) lives here too.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,9 +30,12 @@ from .specfun import (
     jacobi_eval,
     ln_binomial,
     ln_gamma,
+    readonly,
 )
 
 __all__ = [
+    "Triangle",
+    "triangle",
     "ZernikeIndex",
     "CoefficientField",
     "disk_poly",
@@ -48,6 +53,32 @@ __all__ = [
     "write_coefficients",
     "read_coefficients",
 ]
+
+
+@dataclass(frozen=True, eq=False)
+class Triangle:
+    """Flat row-by-row layout of the lattice {(n, k): 0 <= k <= n <= degree}:
+    position p holds (n[p], k[p]) and (n, k) sits at starts[n] + k.  Spectral
+    operators act as elementwise multipliers built from ``n`` and ``k``."""
+
+    n: np.ndarray
+    k: np.ndarray
+    starts: np.ndarray
+
+    def pairs(self):
+        """Iterate (n, k) over the triangle in flat order."""
+        return zip(self.n.tolist(), self.k.tolist())
+
+
+@functools.lru_cache(maxsize=64)
+def triangle(degree: int) -> Triangle:
+    """The (cached, read-only) triangle layout of the given degree."""
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    lengths = np.arange(1, degree + 2)
+    starts = np.concatenate(([0], np.cumsum(lengths)))
+    n = np.repeat(np.arange(degree + 1), lengths)
+    return Triangle(readonly(n), readonly(np.arange(starts[-1]) - starts[n]), readonly(starts))
 
 
 @dataclass(frozen=True)
@@ -160,9 +191,10 @@ class CoefficientField:
     """Truncated expansion of a disk function in the orthonormal basis Ghat.
 
     Coefficients are stored densely over the lower-triangular lattice
-    {(n, k): n <= degree, 0 <= k <= n}; the L^2(d^gamma) norm is the
-    Euclidean norm of the coefficient vector.  Treat instances as immutable;
-    operators return new fields.
+    {(n, k): n <= degree, 0 <= k <= n} in the layout of ``triangle(degree)``;
+    the L^2(d^gamma) norm is the Euclidean norm of the coefficient vector.
+    The constructor copies the coefficients into a read-only array, so a
+    field is immutable; operators return new fields.
     """
 
     def __init__(self, gamma, degree: int, coeffs: np.ndarray | None = None):
@@ -170,17 +202,11 @@ class CoefficientField:
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         self.degree = int(degree)
-        size = (self.degree + 1) * (self.degree + 2) // 2
-        if coeffs is None:
-            coeffs = np.zeros(size, dtype=complex)
-        coeffs = np.asarray(coeffs, dtype=complex)
+        size = triangle(self.degree).n.size
+        coeffs = readonly(np.zeros(size) if coeffs is None else coeffs, complex)
         if coeffs.shape != (size,):
             raise ValueError(f"coefficient array must have length {size}, got {coeffs.shape}")
         self.coeffs = coeffs
-
-    @staticmethod
-    def position(n: int, k: int) -> int:
-        return n * (n + 1) // 2 + k
 
     @classmethod
     def zeros(cls, gamma, degree: int) -> "CoefficientField":
@@ -188,15 +214,16 @@ class CoefficientField:
 
     @classmethod
     def delta(cls, gamma, degree: int, n: int, k: int, value: complex = 1.0) -> "CoefficientField":
-        f = cls(gamma, degree)
         if not (0 <= k <= n <= degree):
             raise ValueError(f"index ({n}, {k}) outside triangle of degree {degree}")
-        f.coeffs[cls.position(n, k)] = value
-        return f
+        tri = triangle(degree)
+        coeffs = np.zeros(tri.n.size, dtype=complex)
+        coeffs[tri.starts[n] + k] = value
+        return cls(gamma, degree, coeffs)
 
     @classmethod
     def random(cls, gamma, degree: int, rng: np.random.Generator) -> "CoefficientField":
-        size = (degree + 1) * (degree + 2) // 2
+        size = triangle(degree).n.size
         data = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         return cls(gamma, degree, data)
 
@@ -204,14 +231,12 @@ class CoefficientField:
         n, k = nk
         if not (0 <= k <= n <= self.degree):
             raise KeyError(f"index ({n}, {k}) outside triangle of degree {self.degree}")
-        return complex(self.coeffs[self.position(n, k)])
+        return complex(self.coeffs[triangle(self.degree).starts[n] + k])
 
     def modes(self):
-        """Yield (n, k, coefficient) over the triangle."""
-        for n in range(self.degree + 1):
-            base = n * (n + 1) // 2
-            for k in range(n + 1):
-                yield n, k, complex(self.coeffs[base + k])
+        """Iterate (n, k, coefficient) over the triangle."""
+        tri = triangle(self.degree)
+        return zip(tri.n.tolist(), tri.k.tolist(), self.coeffs.tolist())
 
     def norm_sq(self) -> float:
         """Squared L^2(d^gamma) norm, by Parseval."""
@@ -230,20 +255,14 @@ class CoefficientField:
 
 def apply_L_gamma(f: CoefficientField) -> CoefficientField:
     """Diagonal action of the degenerate elliptic operator: f_{n,k} *= (n+1+gamma)^2."""
-    out = np.array(f.coeffs)
-    for n in range(f.degree + 1):
-        base = n * (n + 1) // 2
-        out[base : base + n + 1] *= (n + 1.0 + f.gamma) ** 2
-    return CoefficientField(f.gamma, f.degree, out)
+    tri = triangle(f.degree)
+    return CoefficientField(f.gamma, f.degree, f.coeffs * (tri.n + 1.0 + f.gamma) ** 2)
 
 
 def apply_D_omega(f: CoefficientField) -> CoefficientField:
     """Diagonal action of the angular derivative: f_{n,k} *= (n - 2k)."""
-    out = np.array(f.coeffs)
-    for n in range(f.degree + 1):
-        base = n * (n + 1) // 2
-        out[base : base + n + 1] *= n - 2.0 * np.arange(n + 1)
-    return CoefficientField(f.gamma, f.degree, out)
+    tri = triangle(f.degree)
+    return CoefficientField(f.gamma, f.degree, f.coeffs * (tri.n - 2.0 * tri.k))
 
 
 def d_dz(f: CoefficientField) -> CoefficientField:
@@ -258,12 +277,10 @@ def d_dz(f: CoefficientField) -> CoefficientField:
     g = f.gamma
     if f.degree == 0:
         return CoefficientField(g + 1.0, 0)
-    out = CoefficientField(g + 1.0, f.degree - 1)
-    for n, k, c in f.modes():
-        if n >= 1 and k <= n - 1 and c != 0.0:
-            coef = math.sqrt((n - k) * (k + g + 1.0))
-            out.coeffs[out.position(n - 1, k)] += coef * c
-    return out
+    out = triangle(f.degree - 1)  # target (n, k) <- source (n+1, k)
+    coef = np.sqrt((out.n + 1 - out.k) * (out.k + g + 1.0))
+    src = triangle(f.degree).starts[out.n + 1] + out.k
+    return CoefficientField(g + 1.0, f.degree - 1, coef * f.coeffs[src])
 
 
 def d_dzbar(f: CoefficientField) -> CoefficientField:
@@ -275,12 +292,10 @@ def d_dzbar(f: CoefficientField) -> CoefficientField:
     g = f.gamma
     if f.degree == 0:
         return CoefficientField(g + 1.0, 0)
-    out = CoefficientField(g + 1.0, f.degree - 1)
-    for n, k, c in f.modes():
-        if n >= 1 and k >= 1 and c != 0.0:
-            coef = -math.sqrt((n - k + g + 1.0) * k)
-            out.coeffs[out.position(n - 1, k - 1)] += coef * c
-    return out
+    out = triangle(f.degree - 1)  # target (n, k) <- source (n+1, k+1)
+    coef = -np.sqrt((out.n - out.k + g + 1.0) * (out.k + 1))
+    src = triangle(f.degree).starts[out.n + 1] + out.k + 1
+    return CoefficientField(g + 1.0, f.degree - 1, coef * f.coeffs[src])
 
 
 _D1 = {  # second-order first-derivative stencils, offsets in units of h
@@ -359,46 +374,73 @@ def L_gamma_pointwise(func, gamma, p, h: float = 1e-4, richardson: bool = True):
     return second + (g + 1.0) ** 2 * f0
 
 
-def write_coefficients(path, f: CoefficientField) -> None:
-    """Write a coefficient field as text: gamma/degree header, then n,k,re,im rows."""
-    lines = [f"gamma={f.gamma:.17g}", f"degree={f.degree}"]
-    for n, k, c in f.modes():
-        lines.append(f"{n},{k},{c.real:.17g},{c.imag:.17g}")
+def write_table(path, head, rows) -> None:
+    """Write the ``head`` lines, then one ``i,j,a,b`` line per row (floats at 17 digits, so reads are exact)."""
+    lines = list(head)
+    lines.extend(f"{i},{j},{a:.17g},{b:.17g}" for i, j, a, b in rows)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_coefficients(path) -> CoefficientField:
-    """Parse a coefficient file; rejects indices violating 0 <= k <= n."""
-    header = {}
-    entries = []
+def content_lines(path):
+    """Yield (line number, stripped line) for the non-blank, non-'#' lines of a file."""
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" in line:
-                key, _, val = line.partition("=")
-                header[key.strip()] = val.strip()
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 'n,k,re,im', got {line!r}")
-            try:
-                n, k = int(parts[0]), int(parts[1])
-                re, im = float(parts[2]), float(parts[3])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if not (0 <= k <= n):
-                raise ValueError(f"{path}:{lineno}: index ({n}, {k}) violates 0 <= k <= n")
-            entries.append((n, k, complex(re, im), lineno))
-    if "gamma" not in header or "degree" not in header:
-        raise ValueError(f"{path}: missing gamma/degree header")
-    gamma = float(header["gamma"])
+            if line and not line.startswith("#"):
+                yield lineno, line
+
+
+def read_table(path, keys, columns: str) -> tuple[dict, dict]:
+    """Parse a table whose rows are named ``columns`` (e.g. 'i,j,re,im').
+
+    ``key=value`` lines form the header, which must hold every key in
+    ``keys``.  Returns it and a map (i, j) -> (complex value, line number);
+    a malformed, non-finite or repeated row fails with ``path:lineno``.
+    """
+    header, rows = {}, {}
+    for lineno, line in content_lines(path):
+        if "=" in line:
+            key, _, val = line.partition("=")
+            header[key.strip()] = val.strip()
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise ValueError(f"{path}:{lineno}: expected '{columns}', got {line!r}")
+        try:
+            i, j = int(parts[0]), int(parts[1])
+            re, im = float(parts[2]), float(parts[3])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ValueError(f"{path}:{lineno}: non-finite value in {line!r}")
+        if (i, j) in rows:
+            raise ValueError(f"{path}:{lineno}: index ({i}, {j}) repeats line {rows[(i, j)][1]}")
+        rows[(i, j)] = (complex(re, im), lineno)
+    for key in keys:
+        if key not in header:
+            raise ValueError(f"{path}: missing header field {key}")
+    return header, rows
+
+
+def write_coefficients(path, f: CoefficientField) -> None:
+    """Write a coefficient field as text: gamma/degree header, then n,k,re,im rows."""
+    rows = ((n, k, c.real, c.imag) for n, k, c in f.modes())
+    write_table(path, [f"gamma={f.gamma:.17g}", f"degree={f.degree}"], rows)
+
+
+def read_coefficients(path) -> CoefficientField:
+    """Parse a coefficient file; omitted rows are zero.
+
+    Rejects indices outside the triangle of the declared degree, as well as
+    the table-level faults of ``read_table``.
+    """
+    header, rows = read_table(path, ("gamma", "degree"), "n,k,re,im")
     degree = int(header["degree"])
-    f = CoefficientField(gamma, degree)
-    for n, k, c, lineno in entries:
-        if n > degree:
-            raise ValueError(f"{path}:{lineno}: degree {n} exceeds declared degree {degree}")
-        f.coeffs[f.position(n, k)] = c
-    return f
+    tri = triangle(degree)
+    coeffs = np.zeros(tri.n.size, dtype=complex)
+    for (n, k), (c, lineno) in rows.items():
+        if not (0 <= k <= n <= degree):
+            raise ValueError(f"{path}:{lineno}: index ({n}, {k}) violates 0 <= k <= n <= {degree}")
+        coeffs[tri.starts[n] + k] = c
+    return CoefficientField(float(header["gamma"]), degree, coeffs)

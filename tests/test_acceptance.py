@@ -124,7 +124,7 @@ def test_criterion_06_functional_relation():
                 worst = max(
                     worst,
                     abs(svdcore.funcrel_sigma_sq(n, k, g) - s2) / s2,
-                    abs(svdcore.funcrel_sigma_sq_beta(n, k, g) - s2) / s2,
+                    abs(svdcore.sigma_sq_beta_form(n, k, g) - s2) / s2,
                 )
     assert worst <= 1e-12
     _report(6, "functional relation", f"max rel gap {worst:.2e} <= 1e-12 for n <= 50")

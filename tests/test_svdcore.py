@@ -12,7 +12,6 @@ from diskxray.svdcore import (
     analyze,
     asym_envelope_check,
     funcrel_sigma_sq,
-    funcrel_sigma_sq_beta,
     invert,
     psi_hat_values,
     psi_norm_sq,
@@ -146,6 +145,17 @@ def test_sigma_symmetry_and_positivity(gamma):
 
 
 @pytest.mark.parametrize("gamma", GAMMA_GRID)
+def test_sigma_tables_equal_scalar_sigma_bit_for_bit(gamma):
+    from diskxray.svdcore import sigma_sq_triangle
+
+    table = sigma_sq_triangle(gamma, 300)
+    for n in range(301):
+        assert table[n].tolist() == [sigma_sq(n, k, gamma) for k in range(n + 1)]
+    spectrum = SpectrumTable.build(gamma, 64)
+    assert all(s == sigma(n, k, gamma) for n, k, s, _ in spectrum.rows())
+
+
+@pytest.mark.parametrize("gamma", GAMMA_GRID)
 def test_sigma_monotonicity_pattern(gamma):
     from diskxray.svdcore import sigma_sq_triangle
 
@@ -166,7 +176,7 @@ def test_funcrel_equals_sigma_sq(gamma):
         for k in range(n + 1):
             s2 = sigma_sq(n, k, gamma)
             assert funcrel_sigma_sq(n, k, gamma) == pytest.approx(s2, rel=1e-12)
-            assert funcrel_sigma_sq_beta(n, k, gamma) == pytest.approx(s2, rel=1e-12)
+            assert sigma_sq_beta_form(n, k, gamma) == pytest.approx(s2, rel=1e-12)
 
 
 def test_funcrel_constant_mode():

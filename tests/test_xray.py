@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diskxray.geometry import DiskPoint
-from diskxray.quadrature import boundary_rule, default_orders, disk_rule
+from diskxray.quadrature import boundary_rule, default_orders, disk_rule, gauss_jacobi
 from diskxray.specfun import ln_gamma
 from diskxray.svdcore import psi_hat_values, psi_values, sigma
 from diskxray.xray import (
@@ -17,7 +17,7 @@ from diskxray.xray import (
     read_sinogram,
     write_sinogram,
 )
-from diskxray.zernike import G_eval, G_hat_eval, ZernikeIndex
+from diskxray.zernike import CoefficientField, G_eval, G_hat_eval, ZernikeIndex, read_coefficients
 
 
 def _ones(z):
@@ -239,3 +239,41 @@ def test_sinogram_file_errors(tmp_path):
     path.write_text("beta_count=2\ns_order=2\n")
     with pytest.raises(ValueError, match="gamma"):
         read_sinogram(path)
+
+
+_SINO_HEAD = "gamma=0\nbeta_count=2\ns_order=2\n"
+_COEF_HEAD = "gamma=0\ndegree=2\n"
+
+
+@pytest.mark.parametrize(
+    "reader, text, match",
+    [
+        (read_coefficients, _COEF_HEAD + "1,0,1,0\n2,1,0,1\n1,0,2,0\n", "bad.txt:5: index \\(1, 0\\) repeats line 3"),
+        (read_sinogram, _SINO_HEAD + "0,0,1,0\n0,1,1,0\n0,0,1,0\n1,0,1,0\n1,1,1,0\n", "bad.txt:6: index"),
+        (read_coefficients, _COEF_HEAD + "0,0,nan,0\n", "bad.txt:3: non-finite"),
+        (read_sinogram, _SINO_HEAD + "0,0,1,0\n0,1,1,-inf\n", "bad.txt:5: non-finite"),
+        (read_sinogram, _SINO_HEAD + "0,0,1,0\n0,1,1,0\n1,1,1,0\n", "no row for node index \\(1, 0\\)"),
+    ],
+    ids=["coefficient-repeat", "sinogram-repeat", "coefficient-nan", "sinogram-inf", "sinogram-missing-cell"],
+)
+def test_table_readers_reject_bad_rows(tmp_path, reader, text, match):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        reader(path)
+
+
+def test_fields_sinograms_and_rules_are_read_only_copies():
+    coeffs = np.arange(6, dtype=complex)
+    field = CoefficientField(0.5, 2, coeffs)
+    rule = boundary_rule(0.5, 3, 2)
+    values = np.ones(rule.shape, dtype=complex)
+    sino = Sinogram(gamma=0.5, rule=rule, values=values)
+    disk = disk_rule(0.5, 2, 3)
+    line = gauss_jacobi(3, 0.5, 0.5)
+    arrays = (field.coeffs, sino.values, rule.beta, rule.s_nodes, rule.s_weights, disk.z, disk.weights, line.nodes)
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 7.0
+    coeffs[0] = values[0, 0] = 7.0
+    assert field.coeffs[0] == 0.0 and sino.values[0, 0] == 1.0
