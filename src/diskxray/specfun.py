@@ -26,6 +26,7 @@ __all__ = [
     "ln_binomial",
     "jacobi_eval",
     "gegenbauer_L",
+    "gegenbauer_table",
     "gegenbauer_leading_coeff",
     "gegenbauer_norm_sq",
     "gegenbauer_coefficients",
@@ -124,21 +125,41 @@ def jacobi_eval(p: JacobiParams, x):
     return pn if x.ndim else pn[()]
 
 
-def gegenbauer_L(n: int, gamma, x):
+def gegenbauer_L(n: int, gamma, x, rows: np.ndarray | None = None):
     """The boundary profile polynomial: Gegenbauer C_n^(gamma+1)(x).
 
     This is the orthogonal family for the weight (1-x^2)^(gamma+1/2) on
     [-1, 1], in the standard Gegenbauer normalization (C_1 = 2*lambda*x).
+    If ``rows`` (shape (n+1,) + x.shape) is given, the recurrence also
+    stores every L_0..L_n there; this is how ``gegenbauer_table`` is built.
     """
     lam = as_gamma(gamma) + 1.0
     x = np.asarray(x)
+    pn = np.ones_like(x)
+    if rows is not None:
+        rows[0] = pn
     if n == 0:
-        return np.ones_like(x) if x.ndim else 1.0 + 0.0 * x[()]
-    pm1 = np.ones_like(x)
-    pn = 2.0 * lam * x
+        return pn if x.ndim else 1.0 + 0.0 * x[()]
+    pn, pm1 = 2.0 * lam * x, pn
+    if rows is not None:
+        rows[1] = pn
     for m in range(2, n + 1):
         pn, pm1 = (2.0 * (m + lam - 1.0) * x * pn - (m + 2.0 * lam - 2.0) * pm1) / m, pn
+        if rows is not None:
+            rows[m] = pn
     return pn if x.ndim else pn[()]
+
+
+def gegenbauer_table(degree: int, gamma, x) -> np.ndarray:
+    """Rows L_0(x), ..., L_degree(x) from one recurrence pass, shape (degree+1,) + x.shape.
+
+    Row n equals ``gegenbauer_L(n, gamma, x)`` bit for bit: both are the
+    same recurrence, stopped at n.
+    """
+    x = np.asarray(x)
+    table = np.empty((degree + 1,) + x.shape, dtype=np.result_type(x, float))
+    gegenbauer_L(degree, gamma, x, table)
+    return table
 
 
 def gegenbauer_leading_coeff(n: int, gamma) -> float:

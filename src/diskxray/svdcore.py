@@ -8,6 +8,16 @@ gtilde with g = mu^(2*gamma+1) gtilde.
 Phase convention: with Ghat_{n,k} = (-1)^k Phat_{n-k,k} on the disk side,
 the boundary side is normalized as psihat = i^n psi / ||psi||, which makes
 all singular values strictly positive.
+
+Every boundary mode separates: psihat_{n,k}(beta, s) = c_n e^(i m beta)
+e^(i m alpha) L_n^gamma(s) with m = n-2k and s = sin(alpha).  Analysis
+(``boundary_spectrum``, behind ``analyze``, ``invert`` and ``range_defect``)
+is therefore a Fourier sum over the beta nodes for each frequency m, a
+weight per s node, and one product with the table L_n(s_j) of all degrees
+from a single recurrence pass; synthesis is its transpose.  Both cost
+O(N^3) at degree N with the default rule sizes (beta_count, s_order ~ N),
+where a grid per (n, k) mode costs O(N^5).  ``psi_values`` and
+``psi_hat_values`` evaluate single modes and serve as the reference.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import BoundaryQuadrature
-from .specfun import as_gamma, gamma_matches, gegenbauer_L, gegenbauer_norm_sq, ln_gamma, readonly
+from .specfun import as_gamma, gamma_matches, gegenbauer_L, gegenbauer_norm_sq, gegenbauer_table, ln_gamma, readonly
 from .xray import Sinogram
 from .zernike import CoefficientField, triangle, write_table
 
@@ -37,6 +47,7 @@ __all__ = [
     "sigma_sq_flat",
     "sigma_sq_triangle",
     "funcrel_sigma_sq",
+    "boundary_spectrum",
     "analyze",
     "synthesize",
     "invert",
@@ -201,20 +212,31 @@ class SpectrumTable:
     gamma: float
     degree: int
     values: np.ndarray  # sigma over triangle(degree), aligned with CoefficientField.coeffs
+    sigma_sq: np.ndarray  # sigma_sq_flat(gamma, degree), of which values is the square root
 
     @classmethod
     def build(cls, gamma, degree: int) -> "SpectrumTable":
         g = as_gamma(gamma)
-        return cls(g, int(degree), readonly(np.sqrt(sigma_sq_flat(g, degree))))
+        sq = sigma_sq_flat(g, degree)
+        return cls(g, int(degree), readonly(np.sqrt(sq)), sq)
 
     def rows(self):
-        return ((n, k, s, s * s) for (n, k), s in zip(triangle(self.degree).pairs(), self.values.tolist()))
+        pairs = triangle(self.degree).pairs()
+        return ((n, k, s, s2) for (n, k), s, s2 in zip(pairs, self.values.tolist(), self.sigma_sq.tolist()))
 
     def write(self, path) -> None:
         write_table(path, ["n,k,sigma,sigma_sq"], self.rows())
 
 
 def _require_resolution(rule: BoundaryQuadrature, degree: int, k_extra: int) -> None:
+    """Refuse a rule too coarse for ``boundary_spectrum(sino, degree, k_extra)``.
+
+    With M = degree + 2*k_extra, beta_count >= 2M+2 guarantees the no-alias
+    condition 2M+1 <= beta_count: two frequencies |m|, |m'| <= M differ by
+    less than beta_count, so the beta sum separates them exactly.  And
+    s_order >= degree+2 makes the Gauss-Jacobi rule exact for the products
+    L_n L_n' of degree <= 2*degree.
+    """
     need_s = degree + 2
     need_beta = 2 * (degree + 2 * k_extra) + 2
     if rule.s_order < need_s or rule.beta_count < need_beta:
@@ -225,6 +247,42 @@ def _require_resolution(rule: BoundaryQuadrature, degree: int, k_extra: int) -> 
         )
 
 
+def _mode_scale(degree: int, gamma: float) -> np.ndarray:
+    """c_n = (-i)^n / sqrt(2 pi ||L_n||^2) for n <= degree, so that
+    psihat_{n,k} = c_n e^(i m (beta+alpha)) L_n(sin alpha) with m = n-2k."""
+    norms = np.array([gegenbauer_norm_sq(n, gamma) for n in range(degree + 1)])
+    return np.array([1.0, -1j, -1.0, 1j])[np.arange(degree + 1) % 4] / np.sqrt(2.0 * math.pi * norms)
+
+
+def _fourier(m: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """e^(i m angle): rows the frequencies m, columns the angles."""
+    return np.exp(1j * np.outer(m, angles))
+
+
+def boundary_spectrum(sino, degree: int, k_extra: int = 3) -> np.ndarray:
+    """All pairings <g, psihat_{n,k}>, n <= degree, k in [-k_extra, n + k_extra].
+
+    Returns an array ``a`` of shape (degree+1, 2M+1), M = degree + 2*k_extra:
+    ``a[n, M + m]`` is the pairing with the mode of frequency m = n-2k, for
+    every |m| <= n + 2*k_extra with m = n (mod 2); every other entry is 0.
+    Since psihat_{n,k} = c_n e^(i m beta) e^(i m alpha) L_n(sin alpha), the
+    pairing factors: a Fourier sum over beta, the weights w_j e^(-i m alpha_j),
+    then one product with the table L_n(s_j).  Both products cost
+    O(degree^3) for the default rule sizes.
+    """
+    rule = sino.rule
+    _require_resolution(rule, degree, k_extra)
+    big_m = degree + 2 * k_extra
+    m = np.arange(-big_m, big_m + 1)
+    weights = rule.s_weights * (2.0 * math.pi / rule.beta_count)
+    per_m = (_fourier(-m, rule.beta) @ sino.values) * _fourier(-m, rule.alpha) * weights
+    table = gegenbauer_table(degree, sino.gamma, rule.s_nodes)
+    spectrum = (table @ per_m.T) * np.conj(_mode_scale(degree, sino.gamma))[:, None]
+    n = np.arange(degree + 1)[:, None]
+    spectrum[(np.abs(m) > n + 2 * k_extra) | ((n - m) % 2 != 0)] = 0.0
+    return spectrum
+
+
 def analyze(sino, degree: int, k_extra: int = 3) -> dict[tuple[int, int], complex]:
     """Boundary-mode coefficients a_{n,k} = <g, psihat_{n,k}> of a sinogram.
 
@@ -232,36 +290,31 @@ def analyze(sino, degree: int, k_extra: int = 3) -> dict[tuple[int, int], comple
     coefficients with k outside [0, n] measure the component of the data in
     the kernel of the backprojection (range defect).
     """
-    return _pairings(sino, degree, k_extra, band_only=False)
-
-
-def _pairings(sino, degree: int, k_extra: int, band_only: bool) -> dict[tuple[int, int], complex]:
-    """<g, psihat_{n,k}> for n <= degree, k in [-k_extra, n + k_extra] (outside [0, n] if band_only)."""
-    rule = sino.rule
-    _require_resolution(rule, degree, k_extra)
-    beta, _ = rule.grids()
-    s = rule.s_nodes[None, :]
-    out = {}
-    for n in range(degree + 1):
-        for k in range(-k_extra, n + k_extra + 1):
-            if not (band_only and 0 <= k <= n):
-                modal = psi_hat_values(n, k, sino.gamma, beta, s)
-                out[(n, k)] = complex(rule.pair(sino.values, modal))
-    return out
+    spectrum = boundary_spectrum(sino, degree, k_extra).tolist()
+    big_m = degree + 2 * k_extra
+    return {
+        (n, k): spectrum[n][big_m + n - 2 * k] for n in range(degree + 1) for k in range(-k_extra, n + k_extra + 1)
+    }
 
 
 def synthesize(field: CoefficientField, rule: BoundaryQuadrature) -> Sinogram:
-    """Exact sinogram of a coefficient field: gtilde = sum f_{n,k} sigma psihat-tilde."""
+    """Exact sinogram of a coefficient field: gtilde = sum f_{n,k} sigma psihat-tilde.
+
+    The transpose of ``boundary_spectrum``: f sigma c_n placed at (n, m = n-2k),
+    summed over n against the table L_n(s_j), times e^(i m alpha_j), then
+    summed over m against e^(i m beta_i).
+    """
     if not gamma_matches(field.gamma, rule.gamma):
         raise ValueError(f"field gamma {field.gamma} does not match rule gamma {rule.gamma}")
-    beta, _ = rule.grids()
-    s = rule.s_nodes[None, :]
-    sig = np.sqrt(sigma_sq_flat(field.gamma, field.degree)).tolist()
-    values = np.zeros(rule.shape, dtype=complex)
-    for (n, k, c), sig_nk in zip(field.modes(), sig):
-        if c != 0.0:
-            values += c * sig_nk * psi_hat_values(n, k, field.gamma, beta, s)
-    return Sinogram(gamma=field.gamma, rule=rule, values=values)
+    degree = field.degree
+    tri = triangle(degree)
+    m = np.arange(-degree, degree + 1)
+    spectrum = np.zeros((degree + 1, m.size), dtype=complex)
+    spectrum[tri.n, degree + tri.n - 2 * tri.k] = field.coeffs * np.sqrt(sigma_sq_flat(field.gamma, degree))
+    spectrum *= _mode_scale(degree, field.gamma)[:, None]
+    table = gegenbauer_table(degree, field.gamma, rule.s_nodes)
+    per_m = (spectrum.T @ table) * _fourier(m, rule.alpha)
+    return Sinogram(gamma=field.gamma, rule=rule, values=_fourier(rule.beta, m) @ per_m)
 
 
 @dataclass
@@ -278,18 +331,21 @@ def invert(sino, degree: int, k_extra: int = 3) -> InversionResult:
 
     Kernel-band coefficients (k outside [0, n]) are reported, not inverted.
     """
-    kernel = analyze(sino, degree, k_extra)
+    coeffs = analyze(sino, degree, k_extra)
     sig = np.sqrt(sigma_sq_flat(sino.gamma, degree)).tolist()
-    # popping the triangle leaves the kernel band in the analysis order
-    coeffs = [kernel.pop(nk) / sig_nk for nk, sig_nk in zip(triangle(degree).pairs(), sig)]
-    field = CoefficientField(sino.gamma, degree, coeffs)
+    pairs = triangle(degree).pairs()
+    field = CoefficientField(sino.gamma, degree, [coeffs[nk] / s for nk, s in zip(pairs, sig)])
+    kernel = {(n, k): a for (n, k), a in coeffs.items() if not 0 <= k <= n}
     defect = max(map(abs, kernel.values()), default=0.0)
     return InversionResult(field=field, kernel=kernel, defect=defect)
 
 
 def range_defect(sino, degree: int, k_extra: int = 3) -> float:
     """Max |<g, psihat_{n,k}>| over the kernel band k in [-k_extra,-1] u [n+1,n+k_extra]."""
-    return max(map(abs, _pairings(sino, degree, k_extra, band_only=True).values()), default=0.0)
+    spectrum = boundary_spectrum(sino, degree, k_extra)
+    m = np.arange(spectrum.shape[1]) - (degree + 2 * k_extra)
+    n = np.arange(degree + 1)[:, None]
+    return float(np.abs(spectrum[np.abs(m) > n]).max(initial=0.0))
 
 
 def sobolev_norm(field: CoefficientField, s: float) -> float:

@@ -396,13 +396,17 @@ def read_table(path, keys, columns: str) -> tuple[dict, dict]:
 
     ``key=value`` lines form the header, which must hold every key in
     ``keys``.  Returns it and a map (i, j) -> (complex value, line number);
-    a malformed, non-finite or repeated row fails with ``path:lineno``.
+    a malformed, non-finite or repeated row, or a repeated header key, fails
+    with ``path:lineno``.
     """
-    header, rows = {}, {}
+    header, header_lines, rows = {}, {}, {}
     for lineno, line in content_lines(path):
         if "=" in line:
             key, _, val = line.partition("=")
-            header[key.strip()] = val.strip()
+            key = key.strip()
+            if key in header:
+                raise ValueError(f"{path}:{lineno}: header key {key!r} repeats line {header_lines[key]}")
+            header[key], header_lines[key] = val.strip(), lineno
             continue
         parts = line.split(",")
         if len(parts) != 4:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from diskxray.cli import main, parse_phantom
+from diskxray.svdcore import sigma_sq_flat
 from diskxray.xray import read_sinogram
-from diskxray.zernike import read_coefficients
+from diskxray.zernike import read_coefficients, triangle
 
 
 def _write(path, text):
@@ -22,6 +23,16 @@ def test_spectrum_gamma_zero(tmp_path, capsys):
     for row in lines[1:]:
         n, k, s, s2 = row.split(",")
         assert float(s2) == pytest.approx(4.0 * math.pi / (int(n) + 1.0), rel=1e-12)
+
+
+def test_spectrum_file_holds_sigma_sq_flat_bit_for_bit(tmp_path):
+    out = tmp_path / "sigma.csv"
+    assert main(["spectrum", "--gamma", "0.5", "--degree", "64", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    assert [(int(n), int(k)) for n, k, _, _ in rows] == list(triangle(64).pairs())
+    sq = sigma_sq_flat(0.5, 64)
+    assert [float(s2) for _, _, _, s2 in rows] == sq.tolist()
+    assert [float(s) for _, _, s, _ in rows] == np.sqrt(sq).tolist()
 
 
 def test_spectrum_degree_zero(tmp_path):

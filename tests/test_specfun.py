@@ -13,6 +13,7 @@ from diskxray.specfun import (
     gegenbauer_coefficients,
     gegenbauer_leading_coeff,
     gegenbauer_norm_sq,
+    gegenbauer_table,
     jacobi_eval,
     legendre_duplication_check,
     ln_gamma,
@@ -170,3 +171,14 @@ def test_duplication_log_grid():
         if z <= 10.0:  # exponentiation amplifies the log error beyond this
             a, b = legendre_duplication_check(float(z))
             assert a == pytest.approx(b, rel=1e-13)
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_gegenbauer_table_rows_equal_gegenbauer_L_bit_for_bit(gamma):
+    nodes = gauss_jacobi(24, gamma + 0.5, gamma + 0.5).nodes
+    for x in (nodes, np.linspace(-1.0, 1.0, 12).reshape(3, 4), 0.3 + 0.4j * nodes):
+        table = gegenbauer_table(30, gamma, x)
+        assert table.shape == (31,) + x.shape
+        for n in range(31):
+            assert np.array_equal(table[n], gegenbauer_L(n, gamma, x))
+    assert np.array_equal(gegenbauer_table(0, gamma, nodes), np.ones((1, nodes.size)))

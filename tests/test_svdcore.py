@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diskxray.geometry import FanBeam
 from diskxray.quadrature import boundary_rule, default_orders
@@ -11,6 +13,7 @@ from diskxray.svdcore import (
     SpectrumTable,
     analyze,
     asym_envelope_check,
+    boundary_spectrum,
     funcrel_sigma_sq,
     invert,
     psi_hat_values,
@@ -21,12 +24,13 @@ from diskxray.svdcore import (
     sigma_ratio,
     sigma_sq,
     sigma_sq_beta_form,
+    sigma_sq_flat,
     sobolev_norm,
     synthesize,
     tame_bounds_check,
 )
 from diskxray.xray import Sinogram, forward
-from diskxray.zernike import CoefficientField, G_hat_eval, ZernikeIndex, apply_L_gamma
+from diskxray.zernike import CoefficientField, G_hat_eval, ZernikeIndex, apply_L_gamma, triangle
 
 GAMMA_GRID = [-0.9, -0.5, -0.1, 0.1, 1.0, 3.0]
 
@@ -305,6 +309,131 @@ def test_range_defect_detects_injected_kernel_mode():
     sino = Sinogram(gamma=g, rule=rule, values=values)
     assert range_defect(sino, N) == pytest.approx(1.0, abs=1e-10)
     assert range_defect(Sinogram(gamma=g, rule=rule, values=np.zeros(rule.shape)), N) == 0.0
+
+
+def _oracle_analyze(sino, degree, k_extra=3):
+    """Per-mode reference for ``analyze``: one psihat grid and one rule.pair per (n, k)."""
+    rule = sino.rule
+    beta, _ = rule.grids()
+    s = rule.s_nodes[None, :]
+    return {
+        (n, k): complex(rule.pair(sino.values, psi_hat_values(n, k, sino.gamma, beta, s)))
+        for n in range(degree + 1)
+        for k in range(-k_extra, n + k_extra + 1)
+    }
+
+
+def _oracle_synthesize(field, rule):
+    """Per-mode reference for ``synthesize``: sum of f sigma psihat over the grid."""
+    beta, _ = rule.grids()
+    s = rule.s_nodes[None, :]
+    values = np.zeros(rule.shape, dtype=complex)
+    for n, k, c in field.modes():
+        values += c * sigma(n, k, field.gamma) * psi_hat_values(n, k, field.gamma, beta, s)
+    return values
+
+
+def _max_rel_diff(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("gamma", GAMMA_GRID)
+def test_separable_core_matches_per_mode_oracle(gamma):
+    N = 12
+    rule = _spectral_rule(gamma, N)
+    rng = np.random.default_rng(5)
+    field = CoefficientField.random(gamma, N, rng)
+    beta, _ = rule.grids()
+    s = rule.s_nodes[None, :]
+    # range data plus one mode at each edge of the kernel band
+    kernel_modes = [(N, -3), (N, -1), (N - 1, N + 2), (3, 4), (0, -2), (0, 3)]
+    injected = sum(rng.standard_normal() * psi_hat_values(n, k, gamma, beta, s) for n, k in kernel_modes)
+
+    synthesized = synthesize(field, rule).values
+    assert _max_rel_diff(synthesized, _oracle_synthesize(field, rule)) <= 1e-13
+
+    sino = Sinogram(gamma=gamma, rule=rule, values=synthesized + injected)
+    want = _oracle_analyze(sino, N)
+    got = analyze(sino, N)
+    assert list(got) == list(want)
+    assert _max_rel_diff(list(got.values()), list(want.values())) <= 1e-13
+
+    res = invert(sino, N)
+    tri = triangle(N)
+    want_coeffs = [want[(n, k)] / sigma(n, k, gamma) for n, k in tri.pairs()]
+    assert _max_rel_diff(res.field.coeffs, want_coeffs) <= 1e-13
+    want_kernel = {(n, k): a for (n, k), a in want.items() if not 0 <= k <= n}
+    assert list(res.kernel) == list(want_kernel)
+    assert _max_rel_diff(list(res.kernel.values()), list(want_kernel.values())) <= 1e-13
+    want_defect = max(map(abs, want_kernel.values()))
+    assert res.defect == pytest.approx(want_defect, rel=1e-13)
+    assert range_defect(sino, N) == pytest.approx(want_defect, rel=1e-13)
+
+
+def test_boundary_spectrum_layout():
+    g, N, k_extra = 0.4, 5, 2
+    rule = _spectral_rule(g, N)
+    sino = Sinogram(gamma=g, rule=rule, values=np.random.default_rng(3).standard_normal(rule.shape))
+    spectrum = boundary_spectrum(sino, N, k_extra)
+    big_m = N + 2 * k_extra
+    assert spectrum.shape == (N + 1, 2 * big_m + 1)
+    coeffs = analyze(sino, N, k_extra)
+    for n in range(N + 1):
+        for m in range(-big_m, big_m + 1):
+            if abs(m) <= n + 2 * k_extra and (n - m) % 2 == 0:
+                assert spectrum[n, big_m + m] == coeffs[(n, (n - m) // 2)]
+            else:
+                assert spectrum[n, big_m + m] == 0.0
+
+
+def _thresholds(degree, k_extra):
+    """(beta_count, s_order) at which the resolution check starts to accept."""
+    return 2 * (degree + 2 * k_extra) + 2, degree + 2
+
+
+@pytest.mark.parametrize(
+    "d_beta, d_s, ok",
+    [(0, 0, True), (1, 0, True), (-1, 0, False), (-2, 0, False), (0, -1, False)],
+    ids=["even-at-threshold", "odd-above", "beta-one-below", "beta-two-below", "s-one-below"],
+)
+def test_resolution_threshold(d_beta, d_s, ok):
+    g, N, k_extra = 0.3, 7, 2
+    need_beta, need_s = _thresholds(N, k_extra)
+    rule = boundary_rule(g, need_beta + d_beta, need_s + d_s)
+    field = CoefficientField.random(g, N, np.random.default_rng(8))
+    sino = synthesize(field, rule)
+    if ok:
+        res = invert(sino, N, k_extra)
+        assert np.abs(res.field.coeffs - field.coeffs).max() <= 1e-12
+        assert range_defect(sino, N, k_extra) <= 1e-12
+        return
+    for call in (boundary_spectrum, analyze, invert, range_defect):
+        with pytest.raises(ValueError, match="need beta_count"):
+            call(sino, N, k_extra)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    gamma=st.floats(min_value=-1.0, max_value=5.0, exclude_min=True),
+    degree=st.integers(min_value=0, max_value=20),
+    d_beta=st.integers(min_value=0, max_value=3),
+    d_s=st.integers(min_value=0, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_invert_synthesize_round_trip_property(gamma, degree, d_beta, d_s, seed):
+    need_beta, need_s = _thresholds(degree, 3)
+    rule = boundary_rule(gamma, need_beta + d_beta, need_s + d_s)
+    field = CoefficientField.random(gamma, degree, np.random.default_rng(seed))
+    res = invert(synthesize(field, rule), degree)
+    # compared in data space (coefficients times sigma), where the error is
+    # rounding only: at most about 4e-14 for degree <= 20, but growing like
+    # 1/(gamma+1) as gamma -> -1 (about 2e-16/(gamma+1) there), which is the
+    # tested envelope
+    sig = np.sqrt(sigma_sq_flat(gamma, degree))
+    tol = 1e-12 / min(1.0, gamma + 1.0)
+    assert np.abs(sig * (res.field.coeffs - field.coeffs)).max() <= tol * np.abs(sig * field.coeffs).max()
+    assert res.defect <= tol * np.abs(sig * field.coeffs).max()
 
 
 def test_svd_consistency_triangle():

@@ -253,8 +253,16 @@ _COEF_HEAD = "gamma=0\ndegree=2\n"
         (read_coefficients, _COEF_HEAD + "0,0,nan,0\n", "bad.txt:3: non-finite"),
         (read_sinogram, _SINO_HEAD + "0,0,1,0\n0,1,1,-inf\n", "bad.txt:5: non-finite"),
         (read_sinogram, _SINO_HEAD + "0,0,1,0\n0,1,1,0\n1,1,1,0\n", "no row for node index \\(1, 0\\)"),
+        (read_coefficients, _COEF_HEAD + "0,0,1,0\n gamma = 0.25\n", "bad.txt:4: header key 'gamma' repeats line 1"),
     ],
-    ids=["coefficient-repeat", "sinogram-repeat", "coefficient-nan", "sinogram-inf", "sinogram-missing-cell"],
+    ids=[
+        "coefficient-repeat",
+        "sinogram-repeat",
+        "coefficient-nan",
+        "sinogram-inf",
+        "sinogram-missing-cell",
+        "coefficient-header-repeat",
+    ],
 )
 def test_table_readers_reject_bad_rows(tmp_path, reader, text, match):
     path = tmp_path / "bad.txt"
