@@ -261,17 +261,12 @@ def _cmd_verify(args) -> int:
 def _cmd_ccd_verify(args) -> int:
     chart = ccdmod.CCDChart(args.kappa, args.radius)
     gamma = as_gamma(args.gamma)
-    flat = ccdmod.CCDChart(0.0, 1.0)
+    murel = verify.murel_residual(chart, (0.4,), np.linspace(-1.5, 1.5, 13))
+    inter = verify.interIstar_residual(chart, gamma, zernike.triangle(min(args.degree, 4)).pairs(), 0.27 + 0.11j)
     rows = [
-        verify.CheckResult("murel identity", verify.murel_residual(chart), 1e-12),
-        verify.CheckResult(
-            "interIstar intertwining", verify.interIstar_residual(chart, gamma, min(args.degree, 4)), args.tol
-        ),
-        verify.CheckResult(
-            "kappa=0 reduction",
-            ccdmod.interIstar_verify(flat, gamma, min(args.degree, 2), 0, 0.3 + 0.2j, 64, 5e-3),
-            1e-10,
-        ),
+        verify.CheckResult("murel identity", murel, 1e-12),
+        verify.CheckResult("interIstar intertwining", inter, args.tol),
+        verify.CheckResult("kappa=0 reduction", verify.flat_reduction_residual(gamma, min(args.degree, 2), 0), 1e-10),
     ]
     for res in rows:
         print(res.line())

@@ -1,7 +1,8 @@
 """Named verification suites aggregating the library's spectral identities.
 
-Each suite returns a list of CheckResult rows (one per residual), so the CLI
-can print one pass/fail line per check and exit nonzero on any failure.
+Each identity has one residual function, which the suites, ``ccd-verify`` and
+the tests call with their own inputs.  A suite returns CheckResult rows (one per
+residual), so the CLI prints one pass/fail line per check and exits nonzero on failure.
 """
 
 from __future__ import annotations
@@ -16,19 +17,22 @@ from . import svdcore, xray, zernike
 from .geometry import FanBeam
 from .specfun import as_gamma
 
-__all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "murel_residual", "interIstar_residual"]
+__all__ = [
+    "CheckResult", "SUITE_NAMES", "run_suite",
+    "eigen_residual", "kernel_residual", "funcrel_residual", "asym_residuals", "ladder_fd_residual",
+    "ladder_bound_residual", "murel_residual", "interIstar_residual", "flat_reduction_residual",
+]
 
-SUITE_NAMES = ("eigen", "kernel", "funcrel", "asym", "ladder", "ccd", "all")
-
-_DEFAULT_GAMMAS = {
-    "eigen": (-0.5, 0.0, 0.5, 1.0, 2.0),
-    "kernel": (-0.5, 0.0, 0.5, 1.0, 2.0),
-    "funcrel": (-0.9, -0.5, -0.1, 0.1, 1.0, 3.0),
-    "asym": (-0.9, -0.5, -0.1, 0.1, 1.0, 3.0),
-    "ladder": (-0.5, 0.0, 0.5, 1.5),
-    "ccd": (0.0, 0.5),
+# suite -> (default gammas, default degree, cap on the degree)
+_DEFAULTS = {
+    "eigen": ((-0.5, 0.0, 0.5, 1.0, 2.0), 8, math.inf),
+    "kernel": ((-0.5, 0.0, 0.5, 1.0, 2.0), 10, math.inf),
+    "funcrel": ((-0.9, -0.5, -0.1, 0.1, 1.0, 3.0), 50, math.inf),
+    "asym": ((-0.9, -0.5, -0.1, 0.1, 1.0, 3.0), 300, math.inf),
+    "ladder": ((-0.5, 0.0, 0.5, 1.5), 8, 8),
+    "ccd": ((0.0, 0.5), 2, 4),
 }
-_DEFAULT_DEGREE = {"eigen": 8, "kernel": 10, "funcrel": 50, "asym": 300, "ladder": 8, "ccd": 2}
+SUITE_NAMES = (*_DEFAULTS, "all")
 
 
 @dataclass
@@ -46,6 +50,93 @@ class CheckResult:
         return f"{status}  {self.name}  residual={self.residual:.3e}  tol={self.tolerance:.1e}"
 
 
+def eigen_residual(gamma, modes, points) -> float:
+    """Worst relative residual of N Ghat = sigma^2 Ghat (N: ``xray.normal_apply``) over ``modes`` at ``points``."""
+    worst = 0.0
+    for n, k in modes:
+        idx = zernike.ZernikeIndex(n, k, gamma)
+        s2 = svdcore.sigma_sq(n, k, gamma)
+        got = xray.normal_apply(lambda z, idx=idx: zernike.G_hat_eval(idx, z), gamma, points, n + 8, 4 * n + 16)
+        worst = max(worst, float(np.abs(got - s2 * zernike.G_hat_eval(idx, points)).max() / s2))
+    return worst
+
+
+def kernel_residual(gamma, degree: int, points, theta_order: int) -> float:
+    """Sup at ``points`` of the backprojected kernel modes psi_{n,k}, n <= degree, k in [-3, -1] or [n+1, n+3]."""
+    worst = 0.0
+    for n in range(degree + 1):
+        for k in (-3, -2, -1, n + 1, n + 2, n + 3):
+            vals = xray.backproject_grid(
+                lambda b, a, n=n, k=k: svdcore.psi_values(n, k, gamma, b, np.sin(a)), gamma, points, theta_order
+            )
+            worst = max(worst, float(np.abs(vals).max()))
+    return worst
+
+
+def funcrel_residual(gamma, degree: int) -> float:
+    """Worst relative gap, n <= degree, between sigma^2 and both the functional-relation and the beta forms."""
+    worst = 0.0
+    for n, k in zernike.triangle(degree).pairs():
+        s2 = svdcore.sigma_sq(n, k, gamma)
+        funcrel, beta_form = svdcore.funcrel_sigma_sq(n, k, gamma), svdcore.sigma_sq_beta_form(n, k, gamma)
+        worst = max(worst, abs(funcrel - s2) / s2, abs(beta_form - s2) / s2)
+    return worst
+
+
+def asym_residuals(gamma, degree: int) -> tuple[float, float]:
+    """(0 if the extremizers of sigma^2 sit where ``svdcore.asym_envelope_check`` expects, else 1; max/min
+    spread of the envelope products over the tail n in [degree/2, degree], infinite if one is not positive)."""
+    rep = svdcore.asym_envelope_check(gamma, degree)
+    lo = rep.lower_env[degree // 2 - 1 :]  # the envelopes start at n = 1
+    hi = rep.upper_env[degree // 2 - 1 :]
+    positive = rep.lower_band[0] > 0.0 and rep.upper_band[0] > 0.0
+    spread = max(max(lo) / min(lo), max(hi) / min(hi)) if positive else math.inf
+    return (0.0 if rep.extremizers_ok else 1.0), spread
+
+
+def ladder_fd_residual(field: zernike.CoefficientField, points) -> float:
+    """Worst gap at ``points`` between ``d_dz``/``d_dzbar`` of ``field`` and central
+    differences at steps 1e-3 and 5e-4 combined by one Richardson step."""
+    h = 1e-3
+    fz, fzb = zernike.d_dz(field), zernike.d_dzbar(field)
+    worst = 0.0
+    for z in points:
+        fd = {}
+        for name, step in (("x", h), ("y", 1j * h)):
+            d1 = (field.evaluate(z + step) - field.evaluate(z - step)) / (2.0 * h)
+            d2 = (field.evaluate(z + step / 2) - field.evaluate(z - step / 2)) / h
+            fd[name] = (4.0 * d2 - d1) / 3.0
+        dz_fd = 0.5 * (fd["x"] - 1j * fd["y"])
+        dzb_fd = 0.5 * (fd["x"] + 1j * fd["y"])
+        worst = max(worst, abs(dz_fd - fz.evaluate(z)), abs(dzb_fd - fzb.evaluate(z)))
+    return worst
+
+
+def ladder_bound_residual(gamma, n_max: int) -> float:
+    """Largest excess of the ladder coefficient (g+1)(n+1-k)(k+g+1) over (g+1)(n+g+2)^2/4, n <= n_max, k <= n+1."""
+    g, worst = gamma, 0.0
+    for n in range(0, n_max + 1):
+        for k in range(n + 2):
+            lhs = (g + 1.0) * (n + 1.0 - k) * (k + g + 1.0)
+            worst = max(worst, lhs - (g + 1.0) * (n + g + 2.0) ** 2 / 4.0)
+    return worst
+
+
+def murel_residual(chart, betas, alphas) -> float:
+    """Worst gap of the mu relation across the line map over the fan beams (beta, alpha)."""
+    return float(max(abs(np.subtract(*ccdmod.murel_check(chart, FanBeam(b, a)))) for b in betas for a in alphas))
+
+
+def interIstar_residual(chart, gamma, modes, point) -> float:
+    """Worst interIstar discrepancy over the image ``modes`` (n, k) at one interior point."""
+    return max(ccdmod.interIstar_verify(chart, gamma, n, k, point) for n, k in modes)
+
+
+def flat_reduction_residual(gamma, n: int, k: int) -> float:
+    """interIstar discrepancy of mode (n, k) on the flat chart (kappa = 0, R = 1), where transfer is the identity."""
+    return ccdmod.interIstar_verify(ccdmod.CCDChart(0.0, 1.0), gamma, n, k, 0.3 + 0.2j, 64, 5e-3)
+
+
 def _sample_points(count: int, seed: int = 20240) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return 0.9 * np.sqrt(rng.random(count)) * np.exp(2j * math.pi * rng.random(count))
@@ -53,63 +144,26 @@ def _sample_points(count: int, seed: int = 20240) -> np.ndarray:
 
 def _suite_eigen(gammas, degree: int) -> list[CheckResult]:
     pts = _sample_points(32)
-    out = []
-    for g in gammas:
-        worst = 0.0
-        for n, k in zernike.triangle(degree).pairs():
-            idx = zernike.ZernikeIndex(n, k, g)
-            s2 = svdcore.sigma_sq(n, k, g)
-            got = xray.normal_apply(
-                lambda z, idx=idx: zernike.G_hat_eval(idx, z), g, pts, n + 8, 4 * n + 16
-            )
-            worst = max(worst, float(np.abs(got - s2 * zernike.G_hat_eval(idx, pts)).max() / s2))
-        out.append(CheckResult(f"eigen gamma={g:g} N={degree}", worst, 1e-8))
-    return out
+    modes = list(zernike.triangle(degree).pairs())
+    return [CheckResult(f"eigen gamma={g:g} N={degree}", eigen_residual(g, modes, pts), 1e-8) for g in gammas]
 
 
 def _suite_kernel(gammas, degree: int) -> list[CheckResult]:
-    pts = _sample_points(64)
-    out = []
-    for g in gammas:
-        worst = 0.0
-        for n in range(degree + 1):
-            for k in list(range(-3, 0)) + list(range(n + 1, n + 4)):
-                vals = xray.backproject_grid(
-                    lambda b, a, n=n, k=k: svdcore.psi_values(n, k, g, b, np.sin(a)),
-                    g,
-                    pts,
-                    4 * (degree + 6) + 16,
-                )
-                worst = max(worst, float(np.abs(vals).max()))
-        out.append(CheckResult(f"kernel gamma={g:g} N={degree}", worst, 1e-10))
-    return out
+    pts, theta = _sample_points(64), 4 * (degree + 6) + 16
+    return [
+        CheckResult(f"kernel gamma={g:g} N={degree}", kernel_residual(g, degree, pts, theta), 1e-10) for g in gammas
+    ]
 
 
 def _suite_funcrel(gammas, degree: int) -> list[CheckResult]:
-    out = []
-    for g in gammas:
-        worst = 0.0
-        for n, k in zernike.triangle(degree).pairs():
-            s2 = svdcore.sigma_sq(n, k, g)
-            worst = max(
-                worst,
-                abs(svdcore.funcrel_sigma_sq(n, k, g) - s2) / s2,
-                abs(svdcore.sigma_sq_beta_form(n, k, g) - s2) / s2,
-            )
-        out.append(CheckResult(f"funcrel gamma={g:g} N={degree}", worst, 1e-12))
-    return out
+    return [CheckResult(f"funcrel gamma={g:g} N={degree}", funcrel_residual(g, degree), 1e-12) for g in gammas]
 
 
 def _suite_asym(gammas, degree: int) -> list[CheckResult]:
     out = []
     for g in gammas:
-        rep = svdcore.asym_envelope_check(g, degree)
-        out.append(CheckResult(f"asym extremizers gamma={g:g} N={degree}", 0.0 if rep.extremizers_ok else 1.0, 0.5))
-        # the envelope products settle into fixed bands; measure the spread
-        # over the tail n in [N/2, N] where the asymptotics have kicked in
-        lo = rep.lower_env[degree // 2 - 1 :]  # the envelopes start at n = 1
-        hi = rep.upper_env[degree // 2 - 1 :]
-        spread = max(max(lo) / min(lo), max(hi) / min(hi))
+        extremizers, spread = asym_residuals(g, degree)
+        out.append(CheckResult(f"asym extremizers gamma={g:g} N={degree}", extremizers, 0.5))
         out.append(CheckResult(f"asym envelope-band gamma={g:g} N={degree}", spread, 1.25))
     return out
 
@@ -117,63 +171,26 @@ def _suite_asym(gammas, degree: int) -> list[CheckResult]:
 def _suite_ladder(gammas, degree: int) -> list[CheckResult]:
     rng = np.random.default_rng(3)
     pts = 0.7 * np.sqrt(rng.random(12)) * np.exp(2j * math.pi * rng.random(12))
-    h = 1e-3
     out = []
     for g in gammas:
         f = zernike.CoefficientField.random(g, degree, rng)
-        fz, fzb = zernike.d_dz(f), zernike.d_dzbar(f)
-        worst = 0.0
-        for z in pts:
-            fd = {}
-            for name, step in (("x", h), ("y", 1j * h)):
-                d1 = (f.evaluate(z + step) - f.evaluate(z - step)) / (2.0 * h)
-                d2 = (f.evaluate(z + step / 2) - f.evaluate(z - step / 2)) / h
-                fd[name] = (4.0 * d2 - d1) / 3.0
-            dz_fd = 0.5 * (fd["x"] - 1j * fd["y"])
-            dzb_fd = 0.5 * (fd["x"] + 1j * fd["y"])
-            worst = max(worst, abs(dz_fd - fz.evaluate(z)), abs(dzb_fd - fzb.evaluate(z)))
-        out.append(CheckResult(f"ladder finite-difference gamma={g:g} N={degree}", worst, 1e-7))
-        bound_worst = 0.0
-        for n in range(0, 201):
-            for k in range(n + 2):
-                lhs = (g + 1.0) * (n + 1.0 - k) * (k + g + 1.0)
-                bound_worst = max(bound_worst, lhs - (g + 1.0) * (n + g + 2.0) ** 2 / 4.0)
-        out.append(CheckResult(f"ladder coefficient-bound gamma={g:g} n<=200", bound_worst, 0.0))
+        out.append(CheckResult(f"ladder finite-difference gamma={g:g} N={degree}", ladder_fd_residual(f, pts), 1e-7))
+        out.append(CheckResult(f"ladder coefficient-bound gamma={g:g} n<=200", ladder_bound_residual(g, 200), 0.0))
     return out
 
 
-def murel_residual(chart) -> float:
-    """Worst gap of the mu relation across the line map, over 13 incidence angles."""
-    alphas = np.linspace(-1.5, 1.5, 13)
-    return float(max(abs(np.subtract(*ccdmod.murel_check(chart, FanBeam(0.4, a)))) for a in alphas))
-
-
-def interIstar_residual(chart, gamma, degree: int) -> float:
-    """Worst interIstar discrepancy over the image modes n <= degree at one interior point."""
-    modes = zernike.triangle(degree).pairs()
-    return max(ccdmod.interIstar_verify(chart, gamma, n, k, 0.27 + 0.11j) for n, k in modes)
-
-
 def _suite_ccd(gammas, degree: int, kappa: float | None, radius: float | None) -> list[CheckResult]:
-    charts = (
-        [ccdmod.CCDChart(kappa, radius)]
-        if kappa is not None and radius is not None
-        else [ccdmod.CCDChart(0.3, 0.9), ccdmod.CCDChart(-0.3, 0.9)]
-    )
+    charts = ([ccdmod.CCDChart(kappa, radius)] if kappa is not None
+              else [ccdmod.CCDChart(0.3, 0.9), ccdmod.CCDChart(-0.3, 0.9)])
+    modes = list(zernike.triangle(min(degree, 2)).pairs())
     out = []
     for chart in charts:
-        out.append(CheckResult(f"ccd murel kappa={chart.kappa:g} R={chart.R:g}", murel_residual(chart), 1e-12))
+        name = f"kappa={chart.kappa:g} R={chart.R:g}"
+        out.append(CheckResult(f"ccd murel {name}", murel_residual(chart, (0.4,), np.linspace(-1.5, 1.5, 13)), 1e-12))
         for g in gammas:
-            out.append(
-                CheckResult(
-                    f"ccd interIstar kappa={chart.kappa:g} R={chart.R:g} gamma={g:g}",
-                    interIstar_residual(chart, g, min(degree, 2)),
-                    1e-6,
-                )
-            )
-    flat = ccdmod.CCDChart(0.0, 1.0)
-    red = ccdmod.interIstar_verify(flat, 0.5, 2, 1, 0.3 + 0.2j, 64, 5e-3)
-    out.append(CheckResult("ccd kappa=0 reduction", red, 1e-10))
+            inter = interIstar_residual(chart, g, modes, 0.27 + 0.11j)
+            out.append(CheckResult(f"ccd interIstar {name} gamma={g:g}", inter, 1e-6))
+    out.append(CheckResult("ccd kappa=0 reduction", flat_reduction_residual(0.5, 2, 1), 1e-10))
     return out
 
 
@@ -184,24 +201,23 @@ def run_suite(
     kappa: float | None = None,
     radius: float | None = None,
 ) -> list[CheckResult]:
-    """Run one named suite (or 'all'); gamma/degree override the defaults."""
+    """Run one named suite (or 'all'); gamma/degree override the defaults, and kappa and
+    radius, which must come together and only for the ccd checks, replace its two charts."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    names = [s for s in SUITE_NAMES if s != "all"] if name == "all" else [name]
+    names = list(_DEFAULTS) if name == "all" else [name]
+    if (kappa is None) != (radius is None):
+        given, missing = ("kappa", "radius") if radius is None else ("radius", "kappa")
+        raise ValueError(f"--{given} needs --{missing}: together they name one ccd chart")
+    if kappa is not None and "ccd" not in names:
+        raise ValueError(f"--kappa and --radius choose a ccd chart, but suite {name!r} runs no ccd checks")
     results: list[CheckResult] = []
     for suite in names:
-        gammas = (as_gamma(gamma),) if gamma is not None else _DEFAULT_GAMMAS[suite]
-        deg = degree if degree is not None else _DEFAULT_DEGREE[suite]
-        if suite == "eigen":
-            results += _suite_eigen(gammas, deg)
-        elif suite == "kernel":
-            results += _suite_kernel(gammas, deg)
-        elif suite == "funcrel":
-            results += _suite_funcrel(gammas, deg)
-        elif suite == "asym":
-            results += _suite_asym(gammas, deg)
-        elif suite == "ladder":
-            results += _suite_ladder(gammas, min(deg, 8))
-        elif suite == "ccd":
-            results += _suite_ccd(gammas, min(deg, 4), kappa, radius)
+        gammas, deg, cap = _DEFAULTS[suite]
+        if gamma is not None:
+            gammas = (as_gamma(gamma),)
+        deg = min(deg if degree is None else degree, cap)
+        chart = {"kappa": kappa, "radius": radius} if suite == "ccd" else {}
+        # looked up at call time, so a wrapped _suite_<name> is the one that runs
+        results += globals()[f"_suite_{suite}"](gammas, deg, **chart)
     return results

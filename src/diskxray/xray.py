@@ -24,7 +24,7 @@ import numpy as np
 from .geometry import DiskPoint, fanbeam_through_arrays
 from .quadrature import BoundaryQuadrature, boundary_rule, gauss_jacobi
 from .specfun import as_gamma, readonly
-from .zernike import read_table, write_table
+from .zernike import int_at_least, read_table, write_table
 
 __all__ = [
     "Sinogram",
@@ -175,9 +175,9 @@ def write_sinogram(path, sino: Sinogram, header_extra: dict | None = None) -> No
 
 def read_sinogram(path) -> tuple[Sinogram, dict]:
     """Parse a sinogram file (exactly one row per node); the rule is rebuilt from the recorded sizes."""
-    header, rows = read_table(path, ("gamma", "beta_count", "s_order"), "i,j,re,im")
-    gamma = float(header["gamma"])
-    nb, ns = int(header["beta_count"]), int(header["s_order"])
+    count = int_at_least(1)
+    header, rows = read_table(path, {"gamma": as_gamma, "beta_count": count, "s_order": count}, "i,j,re,im")
+    gamma, nb, ns = header["gamma"], header["beta_count"], header["s_order"]
     rule = boundary_rule(gamma, nb, ns)
     values = np.zeros((nb, ns), dtype=complex)
     for (i, j), (v, lineno) in rows.items():

@@ -391,13 +391,22 @@ def content_lines(path):
                 yield lineno, line
 
 
-def read_table(path, keys, columns: str) -> tuple[dict, dict]:
+def int_at_least(minimum: int):
+    """A ``read_table`` header parser for an integer no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        if (value := int(text)) < minimum:
+            raise ValueError(f"must be >= {minimum}")
+        return value
+    return parse
+
+
+def read_table(path, fields, columns: str) -> tuple[dict, dict]:
     """Parse a table whose rows are named ``columns`` (e.g. 'i,j,re,im').
 
-    ``key=value`` lines form the header, which must hold every key in
-    ``keys``.  Returns it and a map (i, j) -> (complex value, line number);
-    a malformed, non-finite or repeated row, or a repeated header key, fails
-    with ``path:lineno``.
+    ``key=value`` lines form the header, which must hold every key of
+    ``fields`` (key -> parser of its value).  Returns the header, with those
+    values parsed, and a map (i, j) -> (complex value, line number); a malformed,
+    non-finite or repeated row or header key, or a rejected value, fails with ``path:lineno``.
     """
     header, header_lines, rows = {}, {}, {}
     for lineno, line in content_lines(path):
@@ -421,9 +430,13 @@ def read_table(path, keys, columns: str) -> tuple[dict, dict]:
         if (i, j) in rows:
             raise ValueError(f"{path}:{lineno}: index ({i}, {j}) repeats line {rows[(i, j)][1]}")
         rows[(i, j)] = (complex(re, im), lineno)
-    for key in keys:
+    for key, parse in fields.items():
         if key not in header:
             raise ValueError(f"{path}: missing header field {key}")
+        try:
+            header[key] = parse(header[key])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{header_lines[key]}: {key}={header[key]}: {exc}") from exc
     return header, rows
 
 
@@ -439,12 +452,12 @@ def read_coefficients(path) -> CoefficientField:
     Rejects indices outside the triangle of the declared degree, as well as
     the table-level faults of ``read_table``.
     """
-    header, rows = read_table(path, ("gamma", "degree"), "n,k,re,im")
-    degree = int(header["degree"])
+    header, rows = read_table(path, {"gamma": as_gamma, "degree": int_at_least(0)}, "n,k,re,im")
+    degree = header["degree"]
     tri = triangle(degree)
     coeffs = np.zeros(tri.n.size, dtype=complex)
     for (n, k), (c, lineno) in rows.items():
         if not (0 <= k <= n <= degree):
             raise ValueError(f"{path}:{lineno}: index ({n}, {k}) violates 0 <= k <= n <= {degree}")
         coeffs[tri.starts[n] + k] = c
-    return CoefficientField(float(header["gamma"]), degree, coeffs)
+    return CoefficientField(header["gamma"], degree, coeffs)

@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from diskxray import ccd as ccdmod
-from diskxray import svdcore, xray, zernike
-from diskxray.geometry import FanBeam
+from diskxray import svdcore, verify, xray, zernike
 from diskxray.quadrature import boundary_rule, default_orders
 from diskxray.specfun import gegenbauer_coefficients, ln_gamma
 from diskxray.zernike import CoefficientField, G_hat_eval, ZernikeIndex
@@ -33,16 +32,8 @@ def _report(num, name, detail):
 
 def test_criterion_01_eigen_identity():
     t0 = time.time()
-    worst = 0.0
-    for g in (-0.5, 0.0, 0.5, 1.0, 2.0):
-        for n in range(13):
-            for k in range(n + 1):
-                idx = ZernikeIndex(n, k, g)
-                s2 = svdcore.sigma_sq(n, k, g)
-                got = xray.normal_apply(
-                    lambda z, idx=idx: G_hat_eval(idx, z), g, SAMPLE_64, n + 8, 4 * n + 16
-                )
-                worst = max(worst, float(np.abs(got - s2 * G_hat_eval(idx, SAMPLE_64)).max() / s2))
+    modes = list(zernike.triangle(12).pairs())
+    worst = max(verify.eigen_residual(g, modes, SAMPLE_64) for g in (-0.5, 0.0, 0.5, 1.0, 2.0))
     elapsed = time.time() - t0
     assert worst <= 1e-8
     assert elapsed <= 120.0
@@ -73,17 +64,7 @@ def test_criterion_03_normal_operator_on_constants():
 
 
 def test_criterion_04_kernel_characterization():
-    worst = 0.0
-    for g in (-0.5, 0.0, 0.5, 1.0, 2.0):
-        for n in range(11):
-            for k in list(range(-3, 0)) + list(range(n + 1, n + 4)):
-                vals = xray.backproject_grid(
-                    lambda b, a, n=n, k=k: svdcore.psi_values(n, k, g, b, np.sin(a)),
-                    g,
-                    SAMPLE_64,
-                    80,
-                )
-                worst = max(worst, float(np.abs(vals).max()))
+    worst = max(verify.kernel_residual(g, 10, SAMPLE_64, 80) for g in (-0.5, 0.0, 0.5, 1.0, 2.0))
     assert worst <= 1e-10
     _report(4, "kernel annihilation", f"sup |backprojection| {worst:.2e} <= 1e-10")
 
@@ -116,16 +97,7 @@ def test_criterion_05_svd_round_trip():
 
 
 def test_criterion_06_functional_relation():
-    worst = 0.0
-    for g in (-0.9, -0.5, -0.1, 0.1, 1.0, 3.0):
-        for n in range(51):
-            for k in range(n + 1):
-                s2 = svdcore.sigma_sq(n, k, g)
-                worst = max(
-                    worst,
-                    abs(svdcore.funcrel_sigma_sq(n, k, g) - s2) / s2,
-                    abs(svdcore.sigma_sq_beta_form(n, k, g) - s2) / s2,
-                )
+    worst = max(verify.funcrel_residual(g, 50) for g in (-0.9, -0.5, -0.1, 0.1, 1.0, 3.0))
     assert worst <= 1e-12
     _report(6, "functional relation", f"max rel gap {worst:.2e} <= 1e-12 for n <= 50")
 
@@ -133,17 +105,9 @@ def test_criterion_06_functional_relation():
 def test_criterion_07_singular_value_structure():
     worst_tail = 0.0
     for g in (-0.9, -0.5, -0.1, 0.1, 1.0, 3.0):
-        rep = svdcore.asym_envelope_check(g, 300)
-        assert rep.extremizers_ok, f"extremizer pattern violated at gamma={g}"
-        assert rep.lower_band[0] > 0.0 and rep.upper_band[0] > 0.0
-        # envelope products settle into a fixed band: tail spread over
-        # n in [150, 300] stays within 25%
-        table = svdcore.sigma_sq_triangle(g, 300)
-        e_min = min(-1.0, -1.0 - g)
-        e_max = max(-1.0, -1.0 - g)
-        lo = [table[n].min() * (n + 1.0) ** (-e_min) for n in range(150, 301)]
-        hi = [table[n].max() * (n + 1.0) ** (-e_max) for n in range(150, 301)]
-        spread = max(max(lo) / min(lo), max(hi) / min(hi))
+        extremizers, spread = verify.asym_residuals(g, 300)
+        assert extremizers == 0.0, f"extremizer pattern violated at gamma={g}"
+        # envelope products settle into a fixed positive band: tail spread over n in [150, 300] within 25%
         worst_tail = max(worst_tail, spread)
     assert worst_tail <= 1.25
     _report(
@@ -156,26 +120,10 @@ def test_criterion_07_singular_value_structure():
 def test_criterion_08_ladder_identity():
     rng = np.random.default_rng(31)
     pts = 0.7 * np.sqrt(rng.random(8)) * np.exp(2j * math.pi * rng.random(8))
-    h = 1e-3
-    worst = 0.0
-    for g in (-0.5, 0.0, 0.5, 1.5):
-        f = CoefficientField.random(g, 8, rng)
-        fz, fzb = zernike.d_dz(f), zernike.d_dzbar(f)
-        for z in pts:
-            dx = (4.0 * (f.evaluate(z + h / 2) - f.evaluate(z - h / 2)) / h
-                  - (f.evaluate(z + h) - f.evaluate(z - h)) / (2 * h)) / 3.0
-            dy = (4.0 * (f.evaluate(z + 0.5j * h) - f.evaluate(z - 0.5j * h)) / h
-                  - (f.evaluate(z + 1j * h) - f.evaluate(z - 1j * h)) / (2 * h)) / 3.0
-            worst = max(worst, abs(0.5 * (dx - 1j * dy) - fz.evaluate(z)))
-            worst = max(worst, abs(0.5 * (dx + 1j * dy) - fzb.evaluate(z)))
+    gammas = (-0.5, 0.0, 0.5, 1.5)
+    worst = max(verify.ladder_fd_residual(CoefficientField.random(g, 8, rng), pts) for g in gammas)
     assert worst <= 1e-7
-    bound_ok = all(
-        (g + 1.0) * (n + 1.0 - k) * (k + g + 1.0) <= (g + 1.0) * (n + g + 2.0) ** 2 / 4.0 + 1e-12
-        for g in (-0.5, 0.0, 0.5, 1.5)
-        for n in range(201)
-        for k in range(n + 2)
-    )
-    assert bound_ok
+    assert max(verify.ladder_bound_residual(g, 200) for g in gammas) <= 1e-12
     _report(8, "derivative ladders", f"FD agreement {worst:.2e} <= 1e-7; scalar bound holds to n=200")
 
 
@@ -241,27 +189,17 @@ def test_criterion_10_range_characterization():
 
 def test_criterion_11_ccd_transfer():
     t0 = time.time()
-    murel_worst = 0.0
-    for kappa, radius in ((0.3, 0.9), (-0.3, 0.9), (0.8, 0.6), (-1.1, 0.75)):
-        chart = ccdmod.CCDChart(kappa, radius)
-        for beta in (0.0, 1.3):
-            for a in np.linspace(-1.55, 1.55, 21):
-                lhs, rhs = ccdmod.murel_check(chart, FanBeam(beta, float(a)))
-                murel_worst = max(murel_worst, abs(lhs - rhs))
+    charts = [ccdmod.CCDChart(*c) for c in ((0.3, 0.9), (-0.3, 0.9), (0.8, 0.6), (-1.1, 0.75))]
+    alphas = np.linspace(-1.55, 1.55, 21)
+    murel_worst = max(verify.murel_residual(chart, (0.0, 1.3), alphas) for chart in charts)
     assert murel_worst <= 1e-12
-    inter_worst = 0.0
-    for kappa in (0.3, -0.3):
-        chart = ccdmod.CCDChart(kappa, 0.9)
-        for g in (0.0, 0.5):
-            for n in range(3):
-                for k in range(n + 1):
-                    inter_worst = max(
-                        inter_worst,
-                        ccdmod.interIstar_verify(chart, g, n, k, 0.31 + 0.12j, 96, 2e-3),
-                    )
+    modes = list(zernike.triangle(2).pairs())
+    inter_worst = max(
+        verify.interIstar_residual(chart, g, modes, 0.31 + 0.12j) for chart in charts[:2] for g in (0.0, 0.5)
+    )
     assert inter_worst <= 1e-6
+    red = verify.flat_reduction_residual(0.5, 2, 1)
     flat = ccdmod.CCDChart(0.0, 1.0)
-    red = ccdmod.interIstar_verify(flat, 0.5, 2, 1, 0.3 + 0.2j, 64, 5e-3)
     func = lambda z: np.asarray(z) ** 2 + 0.1 * np.conj(np.asarray(z))
     exact = abs(
         ccdmod.transfer_normal_apply(flat, 0.7, func, 0.2 - 0.3j, 12, 40)

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from diskxray.cli import main, parse_phantom
 from diskxray.svdcore import sigma_sq_flat
+from diskxray.verify import run_suite
 from diskxray.xray import read_sinogram
 from diskxray.zernike import read_coefficients, triangle
 
@@ -207,9 +209,54 @@ def test_verify_funcrel_suite(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+_SUITE_GAMMAS = ("-0.5", "0", "0.5", "1", "2")
+_SPECTRUM_GAMMAS = ("-0.9", "-0.5", "-0.1", "0.1", "1", "3")
+_ASYM = (("extremizers", "5.0e-01"), ("envelope-band", "1.2e+00"))
+_LADDER = (("finite-difference gamma={} N=8", "1.0e-07"), ("coefficient-bound gamma={} n<=200", "0.0e+00"))
+_CCD = (("murel {}", "1.0e-12"), ("interIstar {} gamma=0", "1.0e-06"), ("interIstar {} gamma=0.5", "1.0e-06"))
+# (name, printed tolerance) of each row of `verify --suite all`, in order
+VERIFY_ALL_ROWS = [
+    *((f"eigen gamma={g} N=8", "1.0e-08") for g in _SUITE_GAMMAS),
+    *((f"kernel gamma={g} N=10", "1.0e-10") for g in _SUITE_GAMMAS),
+    *((f"funcrel gamma={g} N=50", "1.0e-12") for g in _SPECTRUM_GAMMAS),
+    *((f"asym {check} gamma={g} N=300", tol) for g in _SPECTRUM_GAMMAS for check, tol in _ASYM),
+    *(("ladder " + check.format(g), tol) for g in ("-0.5", "0", "0.5", "1.5") for check, tol in _LADDER),
+    *(("ccd " + check.format(c), tol) for c in ("kappa=0.3 R=0.9", "kappa=-0.3 R=0.9") for check, tol in _CCD),
+    ("ccd kappa=0 reduction", "1.0e-10"),
+]
+# (name, printed tolerance) of a passing check line
+_PASS_ROW = re.compile(r"^PASS  (.+)  residual=\S+  tol=(\S+)$", re.MULTILINE)
+
+
+def test_verify_check_inventory(capsys):
+    assert main(["verify", "--suite", "all"]) == 0
+    out = capsys.readouterr().out
+    assert _PASS_ROW.findall(out) == VERIFY_ALL_ROWS and len(VERIFY_ALL_ROWS) == 43
+    assert out.splitlines()[-1] == "43/43 checks passed"
+    assert main(["ccd-verify", "--kappa", "0.3", "--radius", "0.9", "--gamma", "0.5"]) == 0
+    rows = [("murel identity", "1.0e-12"), ("interIstar intertwining", "1.0e-06"), ("kappa=0 reduction", "1.0e-10")]
+    assert _PASS_ROW.findall(capsys.readouterr().out) == rows
+
+
 def test_verify_rejects_unknown_suite():
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "nonsense"])
+
+
+@pytest.mark.parametrize(
+    "suite, chart, option",
+    [
+        ("ccd", {"kappa": 0.9}, "--kappa needs --radius"),
+        ("all", {"radius": 0.9}, "--radius needs --kappa"),
+        ("eigen", {"kappa": 0.3, "radius": 0.9}, "--kappa and --radius .* suite 'eigen' runs no ccd checks"),
+    ],
+    ids=["kappa-alone", "radius-alone", "suite-without-ccd"],
+)
+def test_verify_rejects_chart_options_that_select_nothing(suite, chart, option, capsys):
+    with pytest.raises(ValueError, match=option):
+        run_suite(suite, **chart)
+    assert main(["verify", "--suite", suite, *(f"--{key}={value}" for key, value in chart.items())]) == 2
+    assert re.search(option, capsys.readouterr().err)
 
 
 def test_ccd_verify(capsys):

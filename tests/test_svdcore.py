@@ -29,6 +29,7 @@ from diskxray.svdcore import (
     synthesize,
     tame_bounds_check,
 )
+from diskxray.verify import asym_residuals, funcrel_residual
 from diskxray.xray import Sinogram, forward
 from diskxray.zernike import CoefficientField, G_hat_eval, ZernikeIndex, apply_L_gamma, triangle
 
@@ -176,11 +177,7 @@ def test_sigma_monotonicity_pattern(gamma):
 
 @pytest.mark.parametrize("gamma", GAMMA_GRID)
 def test_funcrel_equals_sigma_sq(gamma):
-    for n in range(51):
-        for k in range(n + 1):
-            s2 = sigma_sq(n, k, gamma)
-            assert funcrel_sigma_sq(n, k, gamma) == pytest.approx(s2, rel=1e-12)
-            assert sigma_sq_beta_form(n, k, gamma) == pytest.approx(s2, rel=1e-12)
+    assert funcrel_residual(gamma, 50) <= 1e-12
 
 
 def test_funcrel_constant_mode():
@@ -197,9 +194,8 @@ def test_asym_envelope_gamma_zero_is_4pi():
 
 @pytest.mark.parametrize("gamma", [-0.5, 1.0])
 def test_asym_envelope_extremizers(gamma):
-    rep = asym_envelope_check(gamma, 200)
-    assert rep.extremizers_ok
-    assert rep.lower_band[0] > 0.0 and rep.upper_band[0] > 0.0
+    extremizers, spread = asym_residuals(gamma, 200)  # the spread is infinite unless the bands are positive
+    assert extremizers == 0.0 and spread < math.inf
 
 
 def _spectral_rule(gamma, N):
@@ -274,6 +270,24 @@ def test_invert_synthesize_medium_degree():
     field = CoefficientField.random(g, N, rng)
     res = invert(synthesize(field, rule), N)
     assert np.abs(res.field.coeffs - field.coeffs).max() <= 1e-10
+
+
+_LARGE_GAMMA_WEIGHTS = pytest.mark.xfail(
+    strict=True,
+    reason="quadrature.gauss_jacobi's Golub-Welsch weights lose relative accuracy on the small endpoint weights at "
+    "large exponents: the coefficient error is 4.7e-6 with them, 2.2e-10 with scipy.special.roots_jacobi's",
+)
+
+
+@pytest.mark.parametrize(
+    "gamma, N", [(-0.99, 300), (0.0, 300), (2.0, 300), pytest.param(10.0, 128, marks=_LARGE_GAMMA_WEIGHTS)]
+)
+def test_round_trip_envelope(gamma, N):
+    # the documented envelope: default rules keep invert(synthesize(f)) within
+    # 1e-10 relative coefficient error
+    field = CoefficientField.random(gamma, N, np.random.default_rng(300))
+    res = invert(synthesize(field, _spectral_rule(gamma, N)), N)
+    assert np.abs(res.field.coeffs - field.coeffs).max() <= 1e-10 * np.abs(field.coeffs).max()
 
 
 def test_invert_forward_of_basis():

@@ -7,6 +7,7 @@ from diskxray.geometry import DiskPoint
 from diskxray.quadrature import boundary_rule, default_orders, disk_rule, gauss_jacobi
 from diskxray.specfun import ln_gamma
 from diskxray.svdcore import psi_hat_values, psi_values, sigma
+from diskxray.verify import eigen_residual, kernel_residual
 from diskxray.xray import (
     Sinogram,
     adjoint_pairing_check,
@@ -88,13 +89,7 @@ def test_backproject_constant():
 
 @pytest.mark.parametrize("gamma", [-0.5, 0.0, 1.0])
 def test_backproject_kernel_modes(gamma):
-    pts = _sample_points(16)
-    for n in range(5):
-        for k in (-3, -2, -1, n + 1, n + 2, n + 3):
-            vals = backproject_grid(
-                lambda b, a, n=n, k=k: psi_values(n, k, gamma, b, np.sin(a)), gamma, pts, 64
-            )
-            assert np.abs(vals).max() <= 1e-11
+    assert kernel_residual(gamma, 4, _sample_points(16), 64) <= 1e-11
 
 
 @pytest.mark.parametrize("gamma", [-0.5, 0.0, 1.0])
@@ -123,25 +118,14 @@ def test_normal_apply_constant_gamma_zero_is_4pi():
 
 
 def test_normal_apply_eigenfunction():
-    g = 0.5
-    pts = _sample_points(20, seed=12)
-    for n, k in [(0, 0), (2, 1), (4, 0), (5, 3)]:
-        idx = ZernikeIndex(n, k, g)
-        s2 = sigma(n, k, g) ** 2
-        got = normal_apply(lambda z, idx=idx: G_hat_eval(idx, z), g, pts, n + 8, 4 * n + 16)
-        assert np.abs(got - s2 * G_hat_eval(idx, pts)).max() <= 1e-8 * s2
+    assert eigen_residual(0.5, [(0, 0), (2, 1), (4, 0), (5, 3)], _sample_points(20, seed=12)) <= 1e-8
 
 
 @pytest.mark.parametrize("gamma", [-0.95, 4.0])
 def test_normal_apply_eigenfunction_extreme_weights(gamma):
     # the chord substitution keeps the quadrature exact even close to the
     # gamma -> -1 limit and for strongly vanishing weights
-    pts = _sample_points(12, seed=21)
-    for n, k in [(0, 0), (3, 1), (6, 2)]:
-        idx = ZernikeIndex(n, k, gamma)
-        s2 = sigma(n, k, gamma) ** 2
-        got = normal_apply(lambda z, idx=idx: G_hat_eval(idx, z), gamma, pts, n + 8, 4 * n + 16)
-        assert np.abs(got - s2 * G_hat_eval(idx, pts)).max() <= 1e-10 * s2
+    assert eigen_residual(gamma, [(0, 0), (3, 1), (6, 2)], _sample_points(12, seed=21)) <= 1e-10
 
 
 def test_adjoint_pairing_constant():
@@ -254,6 +238,11 @@ _COEF_HEAD = "gamma=0\ndegree=2\n"
         (read_sinogram, _SINO_HEAD + "0,0,1,0\n0,1,1,-inf\n", "bad.txt:5: non-finite"),
         (read_sinogram, _SINO_HEAD + "0,0,1,0\n0,1,1,0\n1,1,1,0\n", "no row for node index \\(1, 0\\)"),
         (read_coefficients, _COEF_HEAD + "0,0,1,0\n gamma = 0.25\n", "bad.txt:4: header key 'gamma' repeats line 1"),
+        (read_coefficients, "gamma=0\ndegree=abc\n", "bad.txt:2: degree=abc: invalid literal"),
+        (read_coefficients, "gamma=nan\ndegree=2\n", "bad.txt:1: gamma=nan: weight exponent"),
+        (read_sinogram, "beta_count=2\n\ngamma=-3\ns_order=2\n", "bad.txt:3: gamma=-3: weight exponent"),
+        (read_coefficients, "gamma=0\ndegree=-1\n", "bad.txt:2: degree=-1: must be >= 0"),
+        (read_sinogram, "gamma=0\nbeta_count=0\ns_order=2\n", "bad.txt:2: beta_count=0: must be >= 1"),
     ],
     ids=[
         "coefficient-repeat",
@@ -262,6 +251,11 @@ _COEF_HEAD = "gamma=0\ndegree=2\n"
         "sinogram-inf",
         "sinogram-missing-cell",
         "coefficient-header-repeat",
+        "coefficient-degree-abc",
+        "coefficient-gamma-nan",
+        "sinogram-gamma-below-minus-one",
+        "coefficient-degree-negative",
+        "sinogram-beta-count-zero",
     ],
 )
 def test_table_readers_reject_bad_rows(tmp_path, reader, text, match):
