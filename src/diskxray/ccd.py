@@ -23,7 +23,6 @@ from .zernike import G_eval, ZernikeIndex
 
 __all__ = [
     "CCDChart",
-    "GeodesicPath",
     "phi_map",
     "phi_inverse",
     "w_factor",
@@ -33,7 +32,6 @@ __all__ = [
     "ss_jacobian",
     "murel_check",
     "t_function",
-    "geodesic_trace",
     "fanbeam_from_interior",
     "transfer_normal_apply",
     "interIstar_verify",
@@ -162,23 +160,6 @@ def t_function(chart: CCDChart, gamma, fb: FanBeam) -> float:
     return (mu * mu_e ** (2.0 * g)) ** (1.0 / (2.0 * g + 1.0))
 
 
-@dataclass
-class GeodesicPath:
-    """Fixed-step geodesic trace: arc-length grid, positions, metric-unit velocities."""
-
-    t: np.ndarray
-    z: np.ndarray
-    v: np.ndarray
-    length: float
-    exit_point: complex
-    exit_velocity: complex
-
-    def unit_speed_drift(self, chart: CCDChart) -> float:
-        """Max deviation of the conformal speed |v|/(1+kappa|z|^2) from 1."""
-        speed = np.abs(self.v) / (1.0 + chart.kappa * np.abs(self.z) ** 2)
-        return float(np.abs(speed - 1.0).max())
-
-
 def _accel(chart: CCDChart, z, v):
     """Geodesic acceleration of the conformal metric: 2 kappa zbar v^2 / (1+kappa|z|^2)."""
     return 2.0 * chart.kappa * np.conj(z) * v * v / (1.0 + chart.kappa * np.abs(z) ** 2)
@@ -209,47 +190,6 @@ def _refine_exit(chart: CCDChart, z0, v0, t0, h_first, iterations: int = 4):
         h = h - phi / dphi
     z, v = _rk4_step(chart, z0, v0, h)
     return z, v, t0 + h
-
-
-def geodesic_trace(chart: CCDChart, fb: FanBeam, step: float) -> GeodesicPath:
-    """Integrate the geodesic entering at R e^(i beta) with incidence angle alpha.
-
-    The initial metric-unit velocity is (1+kappa R^2) e^(i(beta+pi+alpha));
-    integration proceeds with fixed-step RK4 until the trajectory leaves
-    |z| <= R, and the crossing is Newton-refined.  Tangent rays are rejected.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if abs(abs(fb.alpha) - math.pi / 2.0) < 1e-9:
-        raise ValueError("tangent ray: geodesic meets the boundary non-transversally")
-    z = complex(chart.R * np.exp(1j * fb.beta))
-    v = complex((1.0 + chart.kappa * chart.R**2) * np.exp(1j * (fb.beta + math.pi + fb.alpha)))
-    max_len = 8.0 * chart.R / (1.0 - chart.R**2 * abs(chart.kappa))
-    ts, zs, vs = [0.0], [z], [v]
-    t = 0.0
-    while True:
-        zn, vn = _rk4_step(chart, z, v, step)
-        tn = t + step
-        if abs(zn) ** 2 > chart.R**2 and tn > step:  # left the disk: refine
-            ze, ve, te = _refine_exit(chart, z, v, t, step)
-            ts.append(float(te))
-            zs.append(complex(ze))
-            vs.append(complex(ve))
-            break
-        z, v, t = zn, vn, tn
-        ts.append(t)
-        zs.append(z)
-        vs.append(v)
-        if t > max_len:
-            raise RuntimeError("geodesic failed to exit: not a simple disk?")
-    return GeodesicPath(
-        t=np.asarray(ts),
-        z=np.asarray(zs),
-        v=np.asarray(vs),
-        length=float(ts[-1]),
-        exit_point=complex(zs[-1]),
-        exit_velocity=complex(vs[-1]),
-    )
 
 
 def fanbeam_from_interior(chart: CCDChart, p, theta, step: float):
@@ -295,7 +235,7 @@ def transfer_normal_apply(chart: CCDChart, gamma, func, p, chord_order: int, the
     this is exactly the Euclidean path.
     """
     g = as_gamma(gamma)
-    zp = complex(p.z) if hasattr(p, "z") else complex(p)
+    zp = complex(p)
 
     def pushed(zeta):
         back = phi_inverse(chart, zeta)
@@ -308,13 +248,13 @@ def transfer_normal_apply(chart: CCDChart, gamma, func, p, chord_order: int, the
 def interIstar_verify(
     chart: CCDChart,
     gamma,
-    n: int,
-    k: int,
+    modes,
     p,
     theta_order: int = 96,
     step: float = 2e-3,
 ) -> float:
-    """Relative discrepancy of the curved-vs-Euclidean backprojection identity.
+    """Worst relative discrepancy, over the image ``modes`` (n, k), of the
+    curved-vs-Euclidean backprojection identity at the interior point ``p``.
 
     Left side: geodesic-ODE backprojection over directions at ``p`` of the
     conjugated boundary mode,
@@ -324,26 +264,27 @@ def interIstar_verify(
     with (b-, a-) the traced fan-beam coordinates and a~ = ss(a-).  Right
     side: sqrt((1-kappa R^2)/(1+kappa R^2)) * w(p) * G_{n,k}(Phi(p)), the
     closed-form Euclidean backprojection conjugated through Phi, w, ss.
+    The fan through ``p`` does not depend on the mode or gamma, so it is
+    traced once.
     """
     g = as_gamma(gamma)
-    if not 0 <= k <= n:
-        raise ValueError("interIstar check uses image modes 0 <= k <= n")
-    zp = complex(p.z) if hasattr(p, "z") else complex(p)
+    modes = list(modes)
+    if not modes or not all(0 <= k <= n for n, k in modes):
+        raise ValueError(f"interIstar check needs image modes 0 <= k <= n, got {modes}")
+    zp = complex(p)
+    if not abs(zp) < chart.R:
+        raise ValueError(f"probe point {zp} lies outside the open disk of radius {chart.R}")
     theta = 2.0 * math.pi * np.arange(theta_order) / theta_order
     beta_m, alpha_m = fanbeam_from_interior(chart, zp, theta, step)
     atil = ss_alpha(chart, alpha_m)
-    integrand = (
-        np.cos(atil)
-        / np.cos(alpha_m)
-        * np.sqrt(ss_jacobian(chart, alpha_m))
-        * psi_values(n, k, g, beta_m, np.sin(atil))
-    )
-    lhs = integrand.mean() * 2.0 * math.pi
-    rhs = (
-        math.sqrt(chart.c)
-        * w_factor(chart, zp)
-        * G_eval(ZernikeIndex(n, k, g), phi_map(chart, zp))
-    )
-    # normalize by the L^2(d^gamma) size of the mode so zeros of G stay testable
-    scale = sigma(n, k, g) * math.sqrt(psi_norm_sq(BoundaryMode(n, k, g)))
-    return float(abs(lhs - rhs) / max(abs(rhs), scale))
+    factor = np.cos(atil) / np.cos(alpha_m) * np.sqrt(ss_jacobian(chart, alpha_m))
+    sin_atil = np.sin(atil)
+    w_p, zeta = w_factor(chart, zp), phi_map(chart, zp)
+    residuals = []
+    for n, k in modes:
+        lhs = (factor * psi_values(n, k, g, beta_m, sin_atil)).mean() * 2.0 * math.pi
+        rhs = math.sqrt(chart.c) * w_p * G_eval(ZernikeIndex(n, k, g), zeta)
+        # normalize by the L^2(d^gamma) size of the mode so zeros of G stay testable
+        scale = sigma(n, k, g) * math.sqrt(psi_norm_sq(BoundaryMode(n, k, g)))
+        residuals.append(abs(lhs - rhs) / max(abs(rhs), scale))
+    return float(np.max(residuals))  # a NaN residual propagates

@@ -22,6 +22,17 @@ from .specfun import as_gamma, gamma_matches
 __all__ = ["main", "build_parser", "parse_phantom", "write_pgm"]
 
 
+def _nonnegative(text: str) -> float:
+    """argparse type: a finite float >= 0, so a nan or negative option cannot switch its check off."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diskxray",
@@ -45,14 +56,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-order", type=int, default=None)
     p.add_argument("--radial-order", type=int, default=None, help="disk rule size for bump analysis")
     p.add_argument("--angular-count", type=int, default=None, help="disk rule size for bump analysis")
-    p.add_argument("--noise", type=float, default=0.0, help="relative additive noise amplitude")
+    p.add_argument("--noise", type=_nonnegative, default=0.0, help="relative additive noise amplitude")
     p.add_argument("--seed", type=int, default=0, help="noise generator seed")
     p.add_argument("--out", required=True, help="output sinogram path")
 
     p = sub.add_parser("reconstruct", help="SVD-invert a sinogram file")
     p.add_argument("sinogram", help="sinogram file")
     common(p)
-    p.add_argument("--truncate", type=float, default=0.0, help="zero coefficients below this |a|/sigma")
+    p.add_argument("--truncate", type=_nonnegative, default=0.0, help="zero coefficients below this |a|/sigma")
     p.add_argument("--out", required=True, help="output coefficient path")
     p.add_argument("--image", default=None, help="optional portable graymap output")
     p.add_argument("--resolution", type=int, default=256, help="image resolution (pixels per side)")
@@ -61,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("range-check", help="report the range defect of a sinogram file")
     p.add_argument("sinogram", help="sinogram file")
     common(p)
-    p.add_argument("--tol", type=float, default=None, help="fail (exit 1) if defect exceeds this")
+    p.add_argument("--tol", type=_nonnegative, default=None, help="fail (exit 1) if defect exceeds this")
 
     p = sub.add_parser("verify", help="run a named identity suite")
     p.add_argument("--suite", default="all", choices=verify.SUITE_NAMES)
@@ -75,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--degree", type=int, default=2)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_nonnegative, default=1e-6)
     return parser
 
 
@@ -148,8 +159,6 @@ def write_pgm(path, pixels: np.ndarray, lo: float, hi: float, part: str, resolut
 
 
 def _render(field: zernike.CoefficientField, resolution: int, part: str):
-    if resolution < 2:
-        raise ValueError("image resolution must be at least 2")
     axis = np.linspace(-1.0, 1.0, resolution)
     xx, yy = np.meshgrid(axis, -axis)  # row 0 at the top
     zz = xx + 1j * yy
@@ -174,9 +183,10 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_synthesize(args) -> int:
     gamma = as_gamma(args.gamma)
+    # an unset size takes its default; a size of 0 reaches the rule, which rejects it
     orders = default_orders(args.degree)
-    beta_count = args.beta_count or orders["beta_count"]
-    s_order = args.s_order or orders["s_order"]
+    orders.update({key: getattr(args, key) for key in orders if getattr(args, key) is not None})
+    beta_count, s_order = orders["beta_count"], orders["s_order"]
     rule = boundary_rule(gamma, beta_count, s_order)
     kind, phantom = parse_phantom(args.phantom)
     if kind == "coefficients":
@@ -186,13 +196,7 @@ def _cmd_synthesize(args) -> int:
         if field.degree > args.degree:
             raise SystemExit(f"phantom degree {field.degree} exceeds --degree {args.degree}")
     else:
-        field = _bump_field(
-            phantom,
-            gamma,
-            args.degree,
-            args.radial_order or orders["radial_order"],
-            args.angular_count or orders["angular_count"],
-        )
+        field = _bump_field(phantom, gamma, args.degree, orders["radial_order"], orders["angular_count"])
     sino = svdcore.synthesize(field, rule)  # modes above a phantom's own degree are zero
     header = {}
     if args.noise > 0.0:
@@ -221,6 +225,8 @@ def _read_sinogram(args) -> xray.Sinogram:
 
 
 def _cmd_reconstruct(args) -> int:
+    if args.image and args.resolution < 2:  # checked before any output is written
+        raise ValueError("image resolution must be at least 2")
     sino = _read_sinogram(args)
     result = svdcore.invert(sino, args.degree)
     field = result.field
@@ -262,7 +268,7 @@ def _cmd_ccd_verify(args) -> int:
     chart = ccdmod.CCDChart(args.kappa, args.radius)
     gamma = as_gamma(args.gamma)
     murel = verify.murel_residual(chart, (0.4,), np.linspace(-1.5, 1.5, 13))
-    inter = verify.interIstar_residual(chart, gamma, zernike.triangle(min(args.degree, 4)).pairs(), 0.27 + 0.11j)
+    inter = ccdmod.interIstar_verify(chart, gamma, zernike.triangle(min(args.degree, 4)).pairs(), 0.27 + 0.11j)
     rows = [
         verify.CheckResult("murel identity", murel, 1e-12),
         verify.CheckResult("interIstar intertwining", inter, args.tol),

@@ -16,7 +16,6 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "WeightParam",
     "JacobiParams",
     "as_gamma",
     "gamma_matches",
@@ -34,24 +33,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WeightParam:
-    """Exponent gamma > -1 selecting the weighted transform pair."""
-
-    gamma: float
-
-    def __post_init__(self):
-        g = float(self.gamma)
-        if not math.isfinite(g) or g <= -1.0:
-            raise ValueError(f"weight exponent must satisfy gamma > -1, got {self.gamma}")
-        object.__setattr__(self, "gamma", g)
-
-
 def as_gamma(gamma) -> float:
-    """Coerce a WeightParam or plain number to a validated float gamma."""
-    if isinstance(gamma, WeightParam):
-        return gamma.gamma
-    return WeightParam(float(gamma)).gamma
+    """Coerce a number to a float weight exponent, checking gamma > -1."""
+    g = float(gamma)
+    if not math.isfinite(g) or g <= -1.0:
+        raise ValueError(f"weight exponent must satisfy gamma > -1, got {g}")
+    return g
 
 
 def gamma_matches(a: float, b: float) -> bool:

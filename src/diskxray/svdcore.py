@@ -36,7 +36,6 @@ __all__ = [
     "BoundaryMode",
     "SpectrumTable",
     "InversionResult",
-    "psi_regular_factor",
     "psi_values",
     "psi_hat_values",
     "psi_norm_sq",
@@ -84,16 +83,6 @@ def psi_values(n: int, k: int, gamma, beta, s):
     alpha = np.arcsin(np.clip(s, -1.0, 1.0))
     phase = np.exp(1j * (n - 2 * k) * (beta + alpha))
     return ((-1.0) ** n / (2.0 * math.pi)) * phase * gegenbauer_L(n, g, s)
-
-
-def psi_regular_factor(mode: BoundaryMode, fb):
-    """Regular factor psitilde at a FanBeam (or (beta, alpha) pair)."""
-    if hasattr(fb, "beta"):
-        beta, alpha = fb.beta, fb.alpha
-    else:
-        beta, alpha = fb
-    out = psi_values(mode.n, mode.k, mode.gamma, beta, math.sin(alpha))
-    return complex(out) if np.ndim(out) == 0 else out
 
 
 def psi_norm_sq(mode: BoundaryMode) -> float:

@@ -20,7 +20,7 @@ from .specfun import as_gamma
 __all__ = [
     "CheckResult", "SUITE_NAMES", "run_suite",
     "eigen_residual", "kernel_residual", "funcrel_residual", "asym_residuals", "ladder_fd_residual",
-    "ladder_bound_residual", "murel_residual", "interIstar_residual", "flat_reduction_residual",
+    "ladder_bound_residual", "murel_residual", "flat_reduction_residual",
 ]
 
 # suite -> (default gammas, default degree, cap on the degree)
@@ -127,14 +127,9 @@ def murel_residual(chart, betas, alphas) -> float:
     return float(max(abs(np.subtract(*ccdmod.murel_check(chart, FanBeam(b, a)))) for b in betas for a in alphas))
 
 
-def interIstar_residual(chart, gamma, modes, point) -> float:
-    """Worst interIstar discrepancy over the image ``modes`` (n, k) at one interior point."""
-    return max(ccdmod.interIstar_verify(chart, gamma, n, k, point) for n, k in modes)
-
-
 def flat_reduction_residual(gamma, n: int, k: int) -> float:
     """interIstar discrepancy of mode (n, k) on the flat chart (kappa = 0, R = 1), where transfer is the identity."""
-    return ccdmod.interIstar_verify(ccdmod.CCDChart(0.0, 1.0), gamma, n, k, 0.3 + 0.2j, 64, 5e-3)
+    return ccdmod.interIstar_verify(ccdmod.CCDChart(0.0, 1.0), gamma, [(n, k)], 0.3 + 0.2j, 64, 5e-3)
 
 
 def _sample_points(count: int, seed: int = 20240) -> np.ndarray:
@@ -188,7 +183,7 @@ def _suite_ccd(gammas, degree: int, kappa: float | None, radius: float | None) -
         name = f"kappa={chart.kappa:g} R={chart.R:g}"
         out.append(CheckResult(f"ccd murel {name}", murel_residual(chart, (0.4,), np.linspace(-1.5, 1.5, 13)), 1e-12))
         for g in gammas:
-            inter = interIstar_residual(chart, g, modes, 0.27 + 0.11j)
+            inter = ccdmod.interIstar_verify(chart, g, modes, 0.27 + 0.11j)
             out.append(CheckResult(f"ccd interIstar {name} gamma={g:g}", inter, 1e-6))
     out.append(CheckResult("ccd kappa=0 reduction", flat_reduction_residual(0.5, 2, 1), 1e-10))
     return out

@@ -29,7 +29,6 @@ from .zernike import int_at_least, read_table, write_table
 __all__ = [
     "Sinogram",
     "forward",
-    "backproject",
     "backproject_grid",
     "normal_apply",
     "adjoint_pairing_check",
@@ -105,12 +104,6 @@ def backproject_grid(gtilde, gamma, points, theta_order: int):
     beta, alpha = fanbeam_through_arrays(rho[..., None], omega[..., None], theta)
     vals = np.asarray(gtilde(beta, alpha), dtype=complex)
     return vals.mean(axis=-1) * (2.0 * math.pi)
-
-
-def backproject(gtilde, gamma, p, theta_order: int) -> complex:
-    """Single-point weighted backprojection (see backproject_grid)."""
-    z = p.z if isinstance(p, DiskPoint) else complex(p)
-    return complex(backproject_grid(gtilde, gamma, np.asarray(z), theta_order))
 
 
 def normal_apply(func, gamma, p, chord_order: int, theta_order: int):

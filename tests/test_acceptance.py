@@ -195,7 +195,7 @@ def test_criterion_11_ccd_transfer():
     assert murel_worst <= 1e-12
     modes = list(zernike.triangle(2).pairs())
     inter_worst = max(
-        verify.interIstar_residual(chart, g, modes, 0.31 + 0.12j) for chart in charts[:2] for g in (0.0, 0.5)
+        ccdmod.interIstar_verify(chart, g, modes, 0.31 + 0.12j) for chart in charts[:2] for g in (0.0, 0.5)
     )
     assert inter_worst <= 1e-6
     red = verify.flat_reduction_residual(0.5, 2, 1)

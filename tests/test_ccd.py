@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from diskxray import ccd
 from diskxray.ccd import (
     CCDChart,
     d_R,
     fanbeam_from_interior,
-    geodesic_trace,
+    interIstar_verify,
     phi_inverse,
     phi_map,
     ss_alpha,
@@ -18,7 +19,7 @@ from diskxray.ccd import (
     w_factor,
 )
 from diskxray.geometry import FanBeam
-from diskxray.verify import interIstar_residual, murel_residual
+from diskxray.verify import murel_residual
 from diskxray.xray import normal_apply
 from diskxray.zernike import G_hat_eval, ZernikeIndex
 
@@ -123,33 +124,6 @@ def test_t_function_boundary_defining():
         assert t_function(chart, g, FanBeam(0.1, math.pi / 2)) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_geodesic_flat_is_chord():
-    chart = CCDChart(0.0, 1.0)
-    fb = FanBeam(0.35, -0.6)
-    path = geodesic_trace(chart, fb, 0.01)
-    chord = np.exp(1j * fb.beta) + path.t * np.exp(1j * (fb.beta + math.pi + fb.alpha))
-    assert np.abs(path.z - chord).max() <= 1e-9
-    assert path.length == pytest.approx(2.0 * math.cos(fb.alpha), abs=1e-9)
-
-
-@pytest.mark.parametrize("chart", CHARTS[:2])
-def test_geodesic_unit_speed_and_exit_symmetry(chart):
-    fb = FanBeam(0.8, 0.5)
-    path = geodesic_trace(chart, fb, 2e-3)
-    assert path.unit_speed_drift(chart) <= 1e-8
-    assert abs(abs(path.exit_point) - chart.R) <= 1e-10
-    # rotational symmetry: the reversed exit ray has incidence angle -alpha
-    beta_out = np.angle(path.exit_point)
-    alpha_out = np.angle(-path.exit_velocity) - beta_out - math.pi
-    alpha_out = (alpha_out + math.pi) % (2.0 * math.pi) - math.pi
-    assert alpha_out == pytest.approx(-fb.alpha, abs=1e-8)
-
-
-def test_geodesic_rejects_tangent():
-    with pytest.raises(ValueError, match="tangent"):
-        geodesic_trace(CCDChart(0.3, 0.9), FanBeam(0.0, math.pi / 2), 0.01)
-
-
 def test_fanbeam_from_interior_flat_matches_geometry():
     from diskxray.geometry import fanbeam_through_arrays
 
@@ -160,6 +134,18 @@ def test_fanbeam_from_interior_flat_matches_geometry():
     bwant, awant = fanbeam_through_arrays(abs(p), np.angle(p), theta)
     assert np.abs(np.exp(1j * beta) - np.exp(1j * bwant)).max() <= 1e-9
     assert np.abs(alpha - awant).max() <= 1e-9
+
+
+@pytest.mark.parametrize("chart", CHARTS)
+def test_fanbeam_from_interior_reversal(chart):
+    # directions theta and theta+pi trace the two ends of one geodesic: the
+    # reversed ray meets the boundary at incidence -alpha, and its end point
+    # is where the closed-form line map ss sends the Euclidean chord
+    theta = 2.0 * math.pi * np.arange(96) / 96
+    beta, alpha = fanbeam_from_interior(chart, 0.31 + 0.12j, theta, 2e-3)
+    assert np.abs(alpha[48:] + alpha[:48]).max() <= 1e-12
+    exit_point = np.exp(1j * (beta[:48] + math.pi + 2.0 * ss_alpha(chart, alpha[:48])))
+    assert np.abs(np.exp(1j * beta[48:]) - exit_point).max() <= 1e-9
 
 
 def test_transfer_flat_reduction_is_exact():
@@ -205,4 +191,19 @@ def test_transfer_constant_times_w_sq():
 @pytest.mark.parametrize("chart", [CCDChart(0.3, 0.9), CCDChart(-0.3, 0.9)])
 def test_interIstar_curved(chart):
     for g in (0.0, 0.5):
-        assert interIstar_residual(chart, g, [(0, 0), (1, 0), (2, 1)], 0.31 + 0.12j) <= 1e-6
+        assert interIstar_verify(chart, g, [(0, 0), (1, 0), (2, 1)], 0.31 + 0.12j) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "modes, point, message",
+    [
+        ([(1, 2)], 0.1j, r"0 <= k <= n, got \[\(1, 2\)\]"),
+        ([], 0.1j, r"0 <= k <= n, got \[\]"),
+        ([(0, 0)], 0.27 + 0.11j, r"probe point \(0.27\+0.11j\) lies outside the open disk of radius 0.25"),
+    ],
+    ids=["k-above-n", "no-modes", "point-outside"],
+)
+def test_interIstar_rejects_bad_input_before_tracing(modes, point, message, monkeypatch):
+    monkeypatch.setattr(ccd, "fanbeam_from_interior", lambda *args: pytest.fail("traced a fan"))
+    with pytest.raises(ValueError, match=message):
+        interIstar_verify(CCDChart(0.0, 0.25), 0.5, modes, point)

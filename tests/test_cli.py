@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from diskxray.cli import main, parse_phantom
+from diskxray import ccd
+from diskxray.cli import build_parser, main, parse_phantom
 from diskxray.svdcore import sigma_sq_flat
 from diskxray.verify import run_suite
 from diskxray.xray import read_sinogram
@@ -259,10 +260,77 @@ def test_verify_rejects_chart_options_that_select_nothing(suite, chart, option, 
     assert re.search(option, capsys.readouterr().err)
 
 
+def test_each_geodesic_fan_is_traced_once(monkeypatch, capsys):
+    calls = []
+    trace = ccd.fanbeam_from_interior
+    monkeypatch.setattr(ccd, "fanbeam_from_interior", lambda *args: calls.append(args) or trace(*args))
+    assert main(["verify", "--suite", "ccd"]) == 0
+    assert len(calls) == 5  # 2 charts x 2 gammas, plus the flat reduction
+    calls.clear()
+    assert main(["ccd-verify", "--kappa", "0.3", "--radius", "0.9"]) == 0
+    assert len(calls) == 2
+
+
+def test_ccd_verify_rejects_a_probe_point_outside_the_chart(capsys):
+    assert main(["ccd-verify", "--kappa", "0", "--radius", "0.25"]) == 2
+    assert "probe point (0.27+0.11j) lies outside the open disk of radius 0.25" in capsys.readouterr().err
+
+
 def test_ccd_verify(capsys):
     assert main(["ccd-verify", "--kappa", "0.3", "--radius", "0.9", "--gamma", "0", "--degree", "1"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 3
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        ("--beta-count", "beta_count and s_order must be >= 1"),
+        ("--s-order", "beta_count and s_order must be >= 1"),
+        ("--radial-order", "radial_order and angular_count must be >= 1"),
+        ("--angular-count", "radial_order and angular_count must be >= 1"),
+    ],
+    ids=["beta-count", "s-order", "radial-order", "angular-count"],
+)
+def test_synthesize_rejects_a_zero_rule_size(option, message, tmp_path, capsys):
+    phantom = _write(tmp_path / "b.txt", "bumps\n0.25,0.1,0.35,1.0\n")
+    out = tmp_path / "s.txt"
+    assert main(["synthesize", phantom, "--degree", "4", option, "0", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+_BAD_FLOAT_OPTIONS = [
+    (["range-check", "s.txt"], "--tol", "nan"),
+    (["range-check", "s.txt"], "--tol", "-1e-3"),
+    (["ccd-verify", "--kappa", "0.3", "--radius", "0.9"], "--tol", "nan"),
+    (["ccd-verify", "--kappa", "0.3", "--radius", "0.9"], "--tol", "-inf"),
+    (["synthesize", "p.txt", "--out", "s.txt"], "--noise", "-0.5"),
+    (["synthesize", "p.txt", "--out", "s.txt"], "--noise", "nan"),
+    (["reconstruct", "s.txt", "--out", "r.txt"], "--truncate", "nan"),
+    (["reconstruct", "s.txt", "--out", "r.txt"], "--truncate", "inf"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, option, value", _BAD_FLOAT_OPTIONS, ids=[f"{argv[0]}{opt}={val}" for argv, opt, val in _BAD_FLOAT_OPTIONS]
+)
+def test_float_options_reject_non_finite_or_negative_values(argv, option, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"{option}={value}"])
+    assert exc.value.code == 2
+    assert f"argument {option}: expected a finite number >= 0, got '{value}'" in capsys.readouterr().err
+    assert getattr(build_parser().parse_args([*argv, f"{option}=0"]), option[2:]) == 0.0
+
+
+def test_reconstruct_rejects_a_bad_resolution_before_writing(tmp_path, capsys):
+    phantom = _write(tmp_path / "ph.txt", "gamma=0\ndegree=0\n0,0,1.0,0.0\n")
+    sino_path, rec_path, img_path = tmp_path / "s.txt", tmp_path / "r.txt", tmp_path / "i.pgm"
+    assert main(["synthesize", phantom, "--degree", "2", "--out", str(sino_path)]) == 0
+    argv = ["reconstruct", str(sino_path), "--degree", "2", "--out", str(rec_path), "--image", str(img_path)]
+    assert main([*argv, "--resolution", "1"]) == 2
+    assert "image resolution must be at least 2" in capsys.readouterr().err
+    assert not rec_path.exists() and not img_path.exists()
 
 
 def test_cli_reports_file_errors_cleanly(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from diskxray.quadrature import gauss_jacobi
 from diskxray.specfun import (
     JacobiParams,
-    WeightParam,
+    as_gamma,
     beta,
     gegenbauer_L,
     gegenbauer_coefficients,
@@ -23,11 +23,11 @@ GAMMAS = [-0.9, -0.5, 0.0, 0.5, 1.0, 2.0]
 
 
 def test_weight_param_validation():
-    assert WeightParam(0.25).gamma == 0.25
+    assert as_gamma(0.25) == 0.25
     with pytest.raises(ValueError):
-        WeightParam(-1.0)
+        as_gamma(-1.0)
     with pytest.raises(ValueError):
-        WeightParam(-1.5)
+        as_gamma(-1.5)
 
 
 def test_ln_gamma_known_values():

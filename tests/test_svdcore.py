@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diskxray.geometry import FanBeam
 from diskxray.quadrature import boundary_rule, default_orders
 from diskxray.specfun import gegenbauer_norm_sq, ln_gamma
 from diskxray.svdcore import (
@@ -18,7 +17,7 @@ from diskxray.svdcore import (
     invert,
     psi_hat_values,
     psi_norm_sq,
-    psi_regular_factor,
+    psi_values,
     range_defect,
     sigma,
     sigma_ratio,
@@ -38,18 +37,16 @@ GAMMA_GRID = [-0.9, -0.5, -0.1, 0.1, 1.0, 3.0]
 
 def test_psi_regular_factor_values():
     for g in (-0.5, 0.0, 1.0):
-        assert psi_regular_factor(BoundaryMode(0, 0, g), FanBeam(0.7, 0.2)) == pytest.approx(
-            1.0 / (2.0 * math.pi), rel=1e-14
-        )
+        assert psi_values(0, 0, g, 0.7, math.sin(0.2)) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-14)
         # L_1 vanishes at alpha = 0
-        assert psi_regular_factor(BoundaryMode(1, 0, g), FanBeam(1.3, 0.0)) == pytest.approx(0.0, abs=1e-15)
+        assert psi_values(1, 0, g, 1.3, 0.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_psi_regular_factor_phase_shift():
     n, k, g = 3, 1, 0.4
     delta = 0.63
-    base = psi_regular_factor(BoundaryMode(n, k, g), FanBeam(0.2, 0.3))
-    shifted = psi_regular_factor(BoundaryMode(n, k, g), FanBeam(0.2 + delta, 0.3))
+    base = psi_values(n, k, g, 0.2, math.sin(0.3))
+    shifted = psi_values(n, k, g, 0.2 + delta, math.sin(0.3))
     assert shifted == pytest.approx(base * np.exp(1j * (n - 2 * k) * delta), rel=1e-13)
 
 
@@ -68,8 +65,6 @@ def test_psi_norm_quadrature_oracle(gamma):
     beta, _ = rule.grids()
     s = rule.s_nodes[None, :]
     for n in range(11):
-        from diskxray.svdcore import psi_values
-
         vals = psi_values(n, 2, gamma, beta, s)
         got = rule.pair(vals, vals)
         assert got == pytest.approx(psi_norm_sq(BoundaryMode(n, 2, gamma)), rel=1e-12)

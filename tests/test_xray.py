@@ -11,7 +11,6 @@ from diskxray.verify import eigen_residual, kernel_residual
 from diskxray.xray import (
     Sinogram,
     adjoint_pairing_check,
-    backproject,
     backproject_grid,
     forward,
     normal_apply,
@@ -82,7 +81,7 @@ def test_forward_linearity_at_nodes():
 
 
 def test_backproject_constant():
-    assert backproject(lambda b, a: np.ones_like(b + a), 0.5, DiskPoint(0.3, 1.0), 16) == pytest.approx(
+    assert backproject_grid(lambda b, a: np.ones_like(b + a), 0.5, DiskPoint(0.3, 1.0).z, 16) == pytest.approx(
         2.0 * math.pi, rel=1e-13
     )
 
