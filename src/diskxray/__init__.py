@@ -5,6 +5,5 @@ __version__ = "0.1.0"
 
 from .geometry import DiskPoint, FanBeam  # noqa: F401
 from .zernike import CoefficientField, ZernikeIndex  # noqa: F401
-from .svdcore import BoundaryMode, SpectrumTable  # noqa: F401
 from .xray import Sinogram  # noqa: F401
 from .ccd import CCDChart  # noqa: F401

@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import FanBeam
 from .specfun import as_gamma
-from .svdcore import BoundaryMode, psi_norm_sq, psi_values, sigma
+from .svdcore import psi_norm_sq, psi_values, sigma
 from .xray import normal_apply
 from .zernike import G_eval, ZernikeIndex
 
@@ -175,21 +175,19 @@ def _rk4_step(chart: CCDChart, z, v, h):
     return zn, vn
 
 
-def _refine_exit(chart: CCDChart, z0, v0, t0, h_first, iterations: int = 4):
+def _refine_exit(chart: CCDChart, z0, v0, h_first, iterations: int = 4):
     """Newton-refine the boundary crossing starting from an inside state.
 
-    phi(h) = |z(t0+h)|^2 - R^2 has a transversal zero in (0, h_first]; each
-    iteration re-integrates a single RK4 step from the inside state.
+    phi(h) = |z(h)|^2 - R^2, with z(h) one RK4 step of size h from the inside
+    state, has a transversal zero in (0, h_first]; returns the state there.
     """
     h = h_first
-    z, v = z0, v0
     for _ in range(iterations):
         z, v = _rk4_step(chart, z0, v0, h)
         phi = np.abs(z) ** 2 - chart.R**2
         dphi = 2.0 * np.real(np.conj(z) * v)
         h = h - phi / dphi
-    z, v = _rk4_step(chart, z0, v0, h)
-    return z, v, t0 + h
+    return _rk4_step(chart, z0, v0, h)
 
 
 def fanbeam_from_interior(chart: CCDChart, p, theta, step: float):
@@ -211,7 +209,7 @@ def fanbeam_from_interior(chart: CCDChart, p, theta, step: float):
         zn, vn = _rk4_step(chart, z, v, step)
         crossed = alive & (np.abs(zn) ** 2 > chart.R**2)
         if np.any(crossed):
-            ze, ve, _ = _refine_exit(chart, z[crossed], v[crossed], t[crossed], step)
+            ze, ve = _refine_exit(chart, z[crossed], v[crossed], step)
             exit_z[crossed] = ze
             exit_v[crossed] = ve
             alive[crossed] = False
@@ -247,14 +245,15 @@ def transfer_normal_apply(chart: CCDChart, gamma, func, p, chord_order: int, the
 
 def interIstar_verify(
     chart: CCDChart,
-    gamma,
+    gammas,
     modes,
     p,
     theta_order: int = 96,
     step: float = 2e-3,
-) -> float:
+) -> list[float]:
     """Worst relative discrepancy, over the image ``modes`` (n, k), of the
-    curved-vs-Euclidean backprojection identity at the interior point ``p``.
+    curved-vs-Euclidean backprojection identity at the interior point ``p``:
+    one value per weight exponent in ``gammas``.
 
     Left side: geodesic-ODE backprojection over directions at ``p`` of the
     conjugated boundary mode,
@@ -265,9 +264,9 @@ def interIstar_verify(
     side: sqrt((1-kappa R^2)/(1+kappa R^2)) * w(p) * G_{n,k}(Phi(p)), the
     closed-form Euclidean backprojection conjugated through Phi, w, ss.
     The fan through ``p`` does not depend on the mode or gamma, so it is
-    traced once.
+    traced once for all of them.
     """
-    g = as_gamma(gamma)
+    gammas = [as_gamma(g) for g in gammas]
     modes = list(modes)
     if not modes or not all(0 <= k <= n for n, k in modes):
         raise ValueError(f"interIstar check needs image modes 0 <= k <= n, got {modes}")
@@ -280,11 +279,14 @@ def interIstar_verify(
     factor = np.cos(atil) / np.cos(alpha_m) * np.sqrt(ss_jacobian(chart, alpha_m))
     sin_atil = np.sin(atil)
     w_p, zeta = w_factor(chart, zp), phi_map(chart, zp)
-    residuals = []
-    for n, k in modes:
-        lhs = (factor * psi_values(n, k, g, beta_m, sin_atil)).mean() * 2.0 * math.pi
-        rhs = math.sqrt(chart.c) * w_p * G_eval(ZernikeIndex(n, k, g), zeta)
-        # normalize by the L^2(d^gamma) size of the mode so zeros of G stay testable
-        scale = sigma(n, k, g) * math.sqrt(psi_norm_sq(BoundaryMode(n, k, g)))
-        residuals.append(abs(lhs - rhs) / max(abs(rhs), scale))
-    return float(np.max(residuals))  # a NaN residual propagates
+    worst = []
+    for g in gammas:
+        residuals = []
+        for n, k in modes:
+            lhs = (factor * psi_values(n, k, g, beta_m, sin_atil)).mean() * 2.0 * math.pi
+            rhs = math.sqrt(chart.c) * w_p * G_eval(ZernikeIndex(n, k, g), zeta)
+            # normalize by the L^2(d^gamma) size of the mode so zeros of G stay testable
+            scale = sigma(n, k, g) * math.sqrt(psi_norm_sq(n, g))
+            residuals.append(abs(lhs - rhs) / max(abs(rhs), scale))
+        worst.append(float(np.max(residuals)))  # a NaN residual propagates
+    return worst

@@ -94,6 +94,8 @@ class Bump:
     """Gaussian bump amplitude * exp(-|z-c|^2 / (2 width^2)) on the disk."""
 
     def __init__(self, cx: float, cy: float, width: float, amplitude: float):
+        if not all(map(math.isfinite, (cx, cy, width, amplitude))):
+            raise ValueError("bump values must be finite")
         if math.hypot(cx, cy) >= 1.0:
             raise ValueError("bump center must lie strictly inside the disk")
         if width <= 0.0:
@@ -175,8 +177,10 @@ def _render(field: zernike.CoefficientField, resolution: int, part: str):
 
 
 def _cmd_spectrum(args) -> int:
-    table = svdcore.SpectrumTable.build(as_gamma(args.gamma), args.degree)
-    table.write(args.out)
+    sq = svdcore.sigma_sq_flat(as_gamma(args.gamma), args.degree)
+    tri = zernike.triangle(args.degree)
+    rows = zip(tri.n.tolist(), tri.k.tolist(), np.sqrt(sq).tolist(), sq.tolist())
+    zernike.write_table(args.out, ["n,k,sigma,sigma_sq"], rows)
     print(f"wrote sigma table for gamma={args.gamma:g}, N={args.degree} to {args.out}")
     return 0
 
@@ -268,7 +272,7 @@ def _cmd_ccd_verify(args) -> int:
     chart = ccdmod.CCDChart(args.kappa, args.radius)
     gamma = as_gamma(args.gamma)
     murel = verify.murel_residual(chart, (0.4,), np.linspace(-1.5, 1.5, 13))
-    inter = ccdmod.interIstar_verify(chart, gamma, zernike.triangle(min(args.degree, 4)).pairs(), 0.27 + 0.11j)
+    [inter] = ccdmod.interIstar_verify(chart, [gamma], zernike.triangle(min(args.degree, 4)).pairs(), 0.27 + 0.11j)
     rows = [
         verify.CheckResult("murel identity", murel, 1e-12),
         verify.CheckResult("interIstar intertwining", inter, args.tol),

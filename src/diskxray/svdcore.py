@@ -11,10 +11,10 @@ all singular values strictly positive.
 
 Every boundary mode separates: psihat_{n,k}(beta, s) = c_n e^(i m beta)
 e^(i m alpha) L_n^gamma(s) with m = n-2k and s = sin(alpha).  Analysis
-(``boundary_spectrum``, behind ``analyze``, ``invert`` and ``range_defect``)
-is therefore a Fourier sum over the beta nodes for each frequency m, a
-weight per s node, and one product with the table L_n(s_j) of all degrees
-from a single recurrence pass; synthesis is its transpose.  Both cost
+(``analyze``, behind ``invert`` and ``range_defect``) is therefore a
+Fourier sum over the beta nodes for each frequency m, a weight per s node,
+and one product with the table L_n(s_j) of all degrees from a single
+recurrence pass; synthesis is its transpose.  Both cost
 O(N^3) at degree N with the default rule sizes (beta_count, s_order ~ N),
 where a grid per (n, k) mode costs O(N^5).  ``psi_values`` and
 ``psi_hat_values`` evaluate single modes and serve as the reference.
@@ -30,11 +30,9 @@ import numpy as np
 from .quadrature import BoundaryQuadrature
 from .specfun import as_gamma, gamma_matches, gegenbauer_L, gegenbauer_norm_sq, gegenbauer_table, ln_gamma, readonly
 from .xray import Sinogram
-from .zernike import CoefficientField, triangle, write_table
+from .zernike import CoefficientField, triangle
 
 __all__ = [
-    "BoundaryMode",
-    "SpectrumTable",
     "InversionResult",
     "psi_values",
     "psi_hat_values",
@@ -46,7 +44,6 @@ __all__ = [
     "sigma_sq_flat",
     "sigma_sq_triangle",
     "funcrel_sigma_sq",
-    "boundary_spectrum",
     "analyze",
     "synthesize",
     "invert",
@@ -55,20 +52,6 @@ __all__ = [
     "asym_envelope_check",
     "tame_bounds_check",
 ]
-
-
-@dataclass(frozen=True)
-class BoundaryMode:
-    """Boundary basis index: n >= 0, k in Z (kernel modes have k outside [0, n])."""
-
-    n: int
-    k: int
-    gamma: float
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"n must be nonnegative, got {self.n}")
-        object.__setattr__(self, "gamma", as_gamma(self.gamma))
 
 
 def psi_values(n: int, k: int, gamma, beta, s):
@@ -85,15 +68,14 @@ def psi_values(n: int, k: int, gamma, beta, s):
     return ((-1.0) ** n / (2.0 * math.pi)) * phase * gegenbauer_L(n, g, s)
 
 
-def psi_norm_sq(mode: BoundaryMode) -> float:
-    """||psi_{n,k}||^2 in L^2(boundary, mu^(-2*gamma)): ||L_n^gamma||^2 / 2 pi."""
-    return gegenbauer_norm_sq(mode.n, mode.gamma) / (2.0 * math.pi)
+def psi_norm_sq(n: int, gamma) -> float:
+    """||psi_{n,k}||^2 in L^2(boundary, mu^(-2*gamma)): ||L_n^gamma||^2 / 2 pi, the same for every k."""
+    return gegenbauer_norm_sq(n, gamma) / (2.0 * math.pi)
 
 
 def psi_hat_values(n: int, k: int, gamma, beta, s):
     """Regular factor of the normalized, phase-fixed mode psihat = i^n psi/||psi||."""
-    mode = BoundaryMode(n, k, gamma)
-    return (1j**n / math.sqrt(psi_norm_sq(mode))) * psi_values(n, k, gamma, beta, s)
+    return (1j**n / math.sqrt(psi_norm_sq(n, gamma))) * psi_values(n, k, gamma, beta, s)
 
 
 def _check_sigma_index(n: int, k: int) -> None:
@@ -193,32 +175,8 @@ def funcrel_sigma_sq(n: int, k: int, gamma) -> float:
     )
 
 
-@dataclass(frozen=True)
-class SpectrumTable:
-    """Tabulated singular values sigma_{n,k} for n <= degree: the sigma that
-    synthesis and inversion use."""
-
-    gamma: float
-    degree: int
-    values: np.ndarray  # sigma over triangle(degree), aligned with CoefficientField.coeffs
-    sigma_sq: np.ndarray  # sigma_sq_flat(gamma, degree), of which values is the square root
-
-    @classmethod
-    def build(cls, gamma, degree: int) -> "SpectrumTable":
-        g = as_gamma(gamma)
-        sq = sigma_sq_flat(g, degree)
-        return cls(g, int(degree), readonly(np.sqrt(sq)), sq)
-
-    def rows(self):
-        pairs = triangle(self.degree).pairs()
-        return ((n, k, s, s2) for (n, k), s, s2 in zip(pairs, self.values.tolist(), self.sigma_sq.tolist()))
-
-    def write(self, path) -> None:
-        write_table(path, ["n,k,sigma,sigma_sq"], self.rows())
-
-
 def _require_resolution(rule: BoundaryQuadrature, degree: int, k_extra: int) -> None:
-    """Refuse a rule too coarse for ``boundary_spectrum(sino, degree, k_extra)``.
+    """Refuse a rule too coarse for ``analyze(sino, degree, k_extra)``.
 
     With M = degree + 2*k_extra, beta_count >= 2M+2 guarantees the no-alias
     condition 2M+1 <= beta_count: two frequencies |m|, |m'| <= M differ by
@@ -248,12 +206,15 @@ def _fourier(m: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.outer(m, angles))
 
 
-def boundary_spectrum(sino, degree: int, k_extra: int = 3) -> np.ndarray:
-    """All pairings <g, psihat_{n,k}>, n <= degree, k in [-k_extra, n + k_extra].
+def analyze(sino, degree: int, k_extra: int = 3) -> np.ndarray:
+    """Boundary-mode coefficients a_{n,k} = <g, psihat_{n,k}> of a sinogram,
+    n <= degree, k in [-k_extra, n + k_extra].
 
     Returns an array ``a`` of shape (degree+1, 2M+1), M = degree + 2*k_extra:
     ``a[n, M + m]`` is the pairing with the mode of frequency m = n-2k, for
     every |m| <= n + 2*k_extra with m = n (mod 2); every other entry is 0.
+    Entries with |m| > n (k outside [0, n]) measure the component of the data
+    in the kernel of the backprojection (range defect).
     Since psihat_{n,k} = c_n e^(i m beta) e^(i m alpha) L_n(sin alpha), the
     pairing factors: a Fourier sum over beta, the weights w_j e^(-i m alpha_j),
     then one product with the table L_n(s_j).  Both products cost
@@ -272,24 +233,10 @@ def boundary_spectrum(sino, degree: int, k_extra: int = 3) -> np.ndarray:
     return spectrum
 
 
-def analyze(sino, degree: int, k_extra: int = 3) -> dict[tuple[int, int], complex]:
-    """Boundary-mode coefficients a_{n,k} = <g, psihat_{n,k}> of a sinogram.
-
-    Covers n <= degree and the extended band k in [-k_extra, n + k_extra];
-    coefficients with k outside [0, n] measure the component of the data in
-    the kernel of the backprojection (range defect).
-    """
-    spectrum = boundary_spectrum(sino, degree, k_extra).tolist()
-    big_m = degree + 2 * k_extra
-    return {
-        (n, k): spectrum[n][big_m + n - 2 * k] for n in range(degree + 1) for k in range(-k_extra, n + k_extra + 1)
-    }
-
-
 def synthesize(field: CoefficientField, rule: BoundaryQuadrature) -> Sinogram:
     """Exact sinogram of a coefficient field: gtilde = sum f_{n,k} sigma psihat-tilde.
 
-    The transpose of ``boundary_spectrum``: f sigma c_n placed at (n, m = n-2k),
+    The transpose of ``analyze``: f sigma c_n placed at (n, m = n-2k),
     summed over n against the table L_n(s_j), times e^(i m alpha_j), then
     summed over m against e^(i m beta_i).
     """
@@ -308,33 +255,41 @@ def synthesize(field: CoefficientField, rule: BoundaryQuadrature) -> Sinogram:
 
 @dataclass
 class InversionResult:
-    """SVD inversion output: recovered field plus the non-invertible kernel band."""
+    """SVD inversion output: recovered field plus the range defect of the data."""
 
     field: CoefficientField
-    kernel: dict[tuple[int, int], complex]
     defect: float
+
+
+def _kernel_defect(spectrum: np.ndarray) -> float:
+    """Max |a_{n,k}| over the kernel band |m| > n of an ``analyze`` array."""
+    n = np.arange(spectrum.shape[0])[:, None]
+    m = np.arange(spectrum.shape[1]) - spectrum.shape[1] // 2
+    return float(np.abs(spectrum[np.abs(m) > n]).max(initial=0.0))
 
 
 def invert(sino, degree: int, k_extra: int = 3) -> InversionResult:
     """Invert a sinogram through the SVD: f_{n,k} = a_{n,k} / sigma_{n,k}.
 
-    Kernel-band coefficients (k outside [0, n]) are reported, not inverted.
+    Kernel-band coefficients (k outside [0, n]) are not inverted; their
+    largest magnitude is reported as the defect, equal to ``range_defect``.
     """
-    coeffs = analyze(sino, degree, k_extra)
-    sig = np.sqrt(sigma_sq_flat(sino.gamma, degree)).tolist()
-    pairs = triangle(degree).pairs()
-    field = CoefficientField(sino.gamma, degree, [coeffs[nk] / s for nk, s in zip(pairs, sig)])
-    kernel = {(n, k): a for (n, k), a in coeffs.items() if not 0 <= k <= n}
-    defect = max(map(abs, kernel.values()), default=0.0)
-    return InversionResult(field=field, kernel=kernel, defect=defect)
+    spectrum = analyze(sino, degree, k_extra)
+    tri = triangle(degree)
+    image = spectrum[tri.n, degree + 2 * k_extra + tri.n - 2 * tri.k]
+    sig = np.sqrt(sigma_sq_flat(sino.gamma, degree))
+    # a / sigma part by part, as Python divides a complex by a float: numpy's complex / real
+    # multiplies by a reciprocal, which rounds differently; the "* 0.0" terms only set the
+    # signs of zero results as Python's division does
+    coeffs = np.empty_like(image)
+    coeffs.real = (image.real + image.imag * 0.0) / sig
+    coeffs.imag = (image.imag - image.real * 0.0) / sig
+    return InversionResult(field=CoefficientField(sino.gamma, degree, coeffs), defect=_kernel_defect(spectrum))
 
 
 def range_defect(sino, degree: int, k_extra: int = 3) -> float:
     """Max |<g, psihat_{n,k}>| over the kernel band k in [-k_extra,-1] u [n+1,n+k_extra]."""
-    spectrum = boundary_spectrum(sino, degree, k_extra)
-    m = np.arange(spectrum.shape[1]) - (degree + 2 * k_extra)
-    n = np.arange(degree + 1)[:, None]
-    return float(np.abs(spectrum[np.abs(m) > n]).max(initial=0.0))
+    return _kernel_defect(analyze(sino, degree, k_extra))
 
 
 def sobolev_norm(field: CoefficientField, s: float) -> float:

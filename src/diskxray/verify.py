@@ -129,7 +129,8 @@ def murel_residual(chart, betas, alphas) -> float:
 
 def flat_reduction_residual(gamma, n: int, k: int) -> float:
     """interIstar discrepancy of mode (n, k) on the flat chart (kappa = 0, R = 1), where transfer is the identity."""
-    return ccdmod.interIstar_verify(ccdmod.CCDChart(0.0, 1.0), gamma, [(n, k)], 0.3 + 0.2j, 64, 5e-3)
+    [residual] = ccdmod.interIstar_verify(ccdmod.CCDChart(0.0, 1.0), [gamma], [(n, k)], 0.3 + 0.2j, 64, 5e-3)
+    return residual
 
 
 def _sample_points(count: int, seed: int = 20240) -> np.ndarray:
@@ -182,9 +183,8 @@ def _suite_ccd(gammas, degree: int, kappa: float | None, radius: float | None) -
     for chart in charts:
         name = f"kappa={chart.kappa:g} R={chart.R:g}"
         out.append(CheckResult(f"ccd murel {name}", murel_residual(chart, (0.4,), np.linspace(-1.5, 1.5, 13)), 1e-12))
-        for g in gammas:
-            inter = ccdmod.interIstar_verify(chart, g, modes, 0.27 + 0.11j)
-            out.append(CheckResult(f"ccd interIstar {name} gamma={g:g}", inter, 1e-6))
+        inters = ccdmod.interIstar_verify(chart, gammas, modes, 0.27 + 0.11j)
+        out += [CheckResult(f"ccd interIstar {name} gamma={g:g}", r, 1e-6) for g, r in zip(gammas, inters)]
     out.append(CheckResult("ccd kappa=0 reduction", flat_reduction_residual(0.5, 2, 1), 1e-10))
     return out
 

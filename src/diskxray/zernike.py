@@ -403,15 +403,16 @@ def int_at_least(minimum: int):
 def read_table(path, fields, columns: str) -> tuple[dict, dict]:
     """Parse a table whose rows are named ``columns`` (e.g. 'i,j,re,im').
 
-    ``key=value`` lines form the header, which must hold every key of
-    ``fields`` (key -> parser of its value).  Returns the header, with those
-    values parsed, and a map (i, j) -> (complex value, line number); a malformed,
-    non-finite or repeated row or header key, or a rejected value, fails with ``path:lineno``.
+    ``key=value`` lines whose key holds no comma form the header, which must
+    hold every key of ``fields`` (key -> parser of its value); every other
+    line is a row.  Returns the header, with those values parsed, and a map
+    (i, j) -> (complex value, line number); a malformed, non-finite or
+    repeated row or header key, or a rejected value, fails with ``path:lineno``.
     """
     header, header_lines, rows = {}, {}, {}
     for lineno, line in content_lines(path):
-        if "=" in line:
-            key, _, val = line.partition("=")
+        key, eq, val = line.partition("=")
+        if eq and "," not in key:
             key = key.strip()
             if key in header:
                 raise ValueError(f"{path}:{lineno}: header key {key!r} repeats line {header_lines[key]}")

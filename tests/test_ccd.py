@@ -190,8 +190,11 @@ def test_transfer_constant_times_w_sq():
 
 @pytest.mark.parametrize("chart", [CCDChart(0.3, 0.9), CCDChart(-0.3, 0.9)])
 def test_interIstar_curved(chart):
-    for g in (0.0, 0.5):
-        assert interIstar_verify(chart, g, [(0, 0), (1, 0), (2, 1)], 0.31 + 0.12j) <= 1e-6
+    modes, point = [(0, 0), (1, 0), (2, 1)], 0.31 + 0.12j
+    both = interIstar_verify(chart, (0.0, 0.5), modes, point)
+    assert max(both) <= 1e-6
+    # one fan serves every gamma: the same residuals as one call per gamma
+    assert both == [r for g in (0.0, 0.5) for r in interIstar_verify(chart, [g], modes, point)]
 
 
 @pytest.mark.parametrize(
@@ -206,4 +209,4 @@ def test_interIstar_curved(chart):
 def test_interIstar_rejects_bad_input_before_tracing(modes, point, message, monkeypatch):
     monkeypatch.setattr(ccd, "fanbeam_from_interior", lambda *args: pytest.fail("traced a fan"))
     with pytest.raises(ValueError, match=message):
-        interIstar_verify(CCDChart(0.0, 0.25), 0.5, modes, point)
+        interIstar_verify(CCDChart(0.0, 0.25), [0.5], modes, point)

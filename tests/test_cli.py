@@ -265,7 +265,7 @@ def test_each_geodesic_fan_is_traced_once(monkeypatch, capsys):
     trace = ccd.fanbeam_from_interior
     monkeypatch.setattr(ccd, "fanbeam_from_interior", lambda *args: calls.append(args) or trace(*args))
     assert main(["verify", "--suite", "ccd"]) == 0
-    assert len(calls) == 5  # 2 charts x 2 gammas, plus the flat reduction
+    assert len(calls) == 3  # one fan per chart for both gammas, plus the flat reduction
     calls.clear()
     assert main(["ccd-verify", "--kappa", "0.3", "--radius", "0.9"]) == 0
     assert len(calls) == 2
@@ -355,6 +355,19 @@ def test_parse_phantom_bump_errors(tmp_path):
     path = _write(tmp_path / "c.txt", "bumps\n0.1,0.0,0.2\n")
     with pytest.raises(ValueError, match="c.txt:2"):
         parse_phantom(path)
+
+
+@pytest.mark.parametrize(
+    "row", ["nan,0.0,0.2,1.0", "0.1,0.0,inf,1.0"], ids=["center-nan", "width-inf"]
+)
+def test_parse_phantom_rejects_non_finite_bumps(row, tmp_path, capsys):
+    path = _write(tmp_path / "b.txt", f"bumps\n0.1,0.0,0.2,1.0\n{row}\n")
+    with pytest.raises(ValueError, match="b.txt:3: bump values must be finite"):
+        parse_phantom(path)
+    out = tmp_path / "s.txt"
+    assert main(["synthesize", path, "--degree", "4", "--out", str(out)]) == 2
+    assert "b.txt:3: bump values must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bump_phantom_pipeline(tmp_path, capsys):

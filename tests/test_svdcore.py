@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 from diskxray.quadrature import boundary_rule, default_orders
 from diskxray.specfun import gegenbauer_norm_sq, ln_gamma
 from diskxray.svdcore import (
-    BoundaryMode,
-    SpectrumTable,
     analyze,
     asym_envelope_check,
-    boundary_spectrum,
     funcrel_sigma_sq,
     invert,
     psi_hat_values,
@@ -51,10 +48,10 @@ def test_psi_regular_factor_phase_shift():
 
 
 def test_psi_norm_sq_closed_forms():
-    assert psi_norm_sq(BoundaryMode(0, 0, 0.0)) == pytest.approx(0.25, rel=1e-13)
-    assert psi_norm_sq(BoundaryMode(0, 0, -0.5)) == pytest.approx(1.0 / math.pi, rel=1e-13)
+    assert psi_norm_sq(0, 0.0) == pytest.approx(0.25, rel=1e-13)
+    assert psi_norm_sq(0, -0.5) == pytest.approx(1.0 / math.pi, rel=1e-13)
     for n in range(4):
-        assert psi_norm_sq(BoundaryMode(n, 7, 0.8)) == pytest.approx(
+        assert psi_norm_sq(n, 0.8) == pytest.approx(
             gegenbauer_norm_sq(n, 0.8) / (2 * math.pi), rel=1e-14
         )
 
@@ -67,7 +64,7 @@ def test_psi_norm_quadrature_oracle(gamma):
     for n in range(11):
         vals = psi_values(n, 2, gamma, beta, s)
         got = rule.pair(vals, vals)
-        assert got == pytest.approx(psi_norm_sq(BoundaryMode(n, 2, gamma)), rel=1e-12)
+        assert got == pytest.approx(psi_norm_sq(n, gamma), rel=1e-12)
 
 
 def test_sigma_gamma_zero_closed_form():
@@ -96,7 +93,7 @@ def test_sigma_is_norm_quotient():
             for k in range(n + 1):
                 idx = ZernikeIndex(n, k, g)
                 g_norm = abs(g_leading_coeff(idx) / leading_coeff_p(idx)) * math.sqrt(zernike_norm_sq(idx))
-                quotient = g_norm / math.sqrt(psi_norm_sq(BoundaryMode(n, k, g)))
+                quotient = g_norm / math.sqrt(psi_norm_sq(n, g))
                 assert quotient == pytest.approx(sigma(n, k, g), rel=1e-12)
 
 
@@ -151,8 +148,8 @@ def test_sigma_tables_equal_scalar_sigma_bit_for_bit(gamma):
     table = sigma_sq_triangle(gamma, 300)
     for n in range(301):
         assert table[n].tolist() == [sigma_sq(n, k, gamma) for k in range(n + 1)]
-    spectrum = SpectrumTable.build(gamma, 64)
-    assert all(s == sigma(n, k, gamma) for n, k, s, _ in spectrum.rows())
+    # the sigma column of the spectrum command
+    assert np.sqrt(sigma_sq_flat(gamma, 64)).tolist() == [sigma(n, k, gamma) for n, k in triangle(64).pairs()]
 
 
 @pytest.mark.parametrize("gamma", GAMMA_GRID)
@@ -223,17 +220,17 @@ def test_analyze_of_delta_sinogram():
     N = 6
     rule = _spectral_rule(g, N)
     field = CoefficientField.delta(g, N, 3, 1, 1.0)
-    coeffs = analyze(synthesize(field, rule), N)
-    for (n, k), a in coeffs.items():
-        want = sigma(3, 1, g) if (n, k) == (3, 1) else 0.0
-        assert abs(a - want) <= 1e-10
+    spectrum = analyze(synthesize(field, rule), N)
+    want = np.zeros_like(spectrum)
+    want[3, N + 6 + 3 - 2 * 1] = sigma(3, 1, g)
+    assert np.abs(spectrum - want).max() <= 1e-10
 
 
 def test_analyze_zero_sinogram():
     g = 0.1
     rule = _spectral_rule(g, 4)
     sino = Sinogram(gamma=g, rule=rule, values=np.zeros(rule.shape))
-    assert all(abs(a) == 0.0 for a in analyze(sino, 4).values())
+    assert np.all(analyze(sino, 4) == 0.0)
 
 
 def test_analyze_requires_resolution():
@@ -253,7 +250,6 @@ def test_invert_synthesize_round_trip(gamma):
     res = invert(synthesize(field, rule), N)
     assert np.abs(res.field.coeffs - field.coeffs).max() <= 1e-10
     assert res.defect <= 1e-10
-    assert all(abs(v) <= 1e-10 for v in res.kernel.values())
 
 
 def test_invert_synthesize_medium_degree():
@@ -308,6 +304,18 @@ def test_range_defect_of_forward_data():
     assert range_defect(sino, N) <= 1e-10
 
 
+def test_invert_and_range_defect_report_the_same_defect():
+    # one kernel-band reduction serves both, so reconstruct and range-check print the same number
+    g, N = 0.5, 12
+    rule = _spectral_rule(g, N)
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        values = synthesize(CoefficientField.random(g, N, rng), rule).values
+        noise = 1e-3 * (rng.standard_normal(rule.shape) + 1j * rng.standard_normal(rule.shape))
+        sino = Sinogram(gamma=g, rule=rule, values=values + noise)
+        assert invert(sino, N).defect == range_defect(sino, N)
+
+
 def test_range_defect_detects_injected_kernel_mode():
     g = 0.2
     N = 5
@@ -320,16 +328,21 @@ def test_range_defect_detects_injected_kernel_mode():
     assert range_defect(Sinogram(gamma=g, rule=rule, values=np.zeros(rule.shape)), N) == 0.0
 
 
+def _band(degree, k_extra=3):
+    """(n, k) over the band of ``analyze``: n <= degree, k in [-k_extra, n + k_extra]."""
+    return [(n, k) for n in range(degree + 1) for k in range(-k_extra, n + k_extra + 1)]
+
+
 def _oracle_analyze(sino, degree, k_extra=3):
-    """Per-mode reference for ``analyze``: one psihat grid and one rule.pair per (n, k)."""
+    """Per-mode reference for ``analyze``, in its layout: one psihat grid and one rule.pair per (n, k)."""
     rule = sino.rule
     beta, _ = rule.grids()
     s = rule.s_nodes[None, :]
-    return {
-        (n, k): complex(rule.pair(sino.values, psi_hat_values(n, k, sino.gamma, beta, s)))
-        for n in range(degree + 1)
-        for k in range(-k_extra, n + k_extra + 1)
-    }
+    big_m = degree + 2 * k_extra
+    out = np.zeros((degree + 1, 2 * big_m + 1), dtype=complex)
+    for n, k in _band(degree, k_extra):
+        out[n, big_m + n - 2 * k] = rule.pair(sino.values, psi_hat_values(n, k, sino.gamma, beta, s))
+    return out
 
 
 def _oracle_synthesize(field, rule):
@@ -365,35 +378,30 @@ def test_separable_core_matches_per_mode_oracle(gamma):
     sino = Sinogram(gamma=gamma, rule=rule, values=synthesized + injected)
     want = _oracle_analyze(sino, N)
     got = analyze(sino, N)
-    assert list(got) == list(want)
-    assert _max_rel_diff(list(got.values()), list(want.values())) <= 1e-13
+    assert got.shape == want.shape
+    assert _max_rel_diff(got, want) <= 1e-13  # the whole band, kernel modes included
 
     res = invert(sino, N)
-    tri = triangle(N)
-    want_coeffs = [want[(n, k)] / sigma(n, k, gamma) for n, k in tri.pairs()]
+    big_m = N + 6
+    want_coeffs = [want[n, big_m + n - 2 * k] / sigma(n, k, gamma) for n, k in triangle(N).pairs()]
     assert _max_rel_diff(res.field.coeffs, want_coeffs) <= 1e-13
-    want_kernel = {(n, k): a for (n, k), a in want.items() if not 0 <= k <= n}
-    assert list(res.kernel) == list(want_kernel)
-    assert _max_rel_diff(list(res.kernel.values()), list(want_kernel.values())) <= 1e-13
-    want_defect = max(map(abs, want_kernel.values()))
+    want_defect = max(abs(want[n, big_m + n - 2 * k]) for n, k in _band(N) if not 0 <= k <= n)
     assert res.defect == pytest.approx(want_defect, rel=1e-13)
     assert range_defect(sino, N) == pytest.approx(want_defect, rel=1e-13)
 
 
-def test_boundary_spectrum_layout():
+def test_analyze_layout():
     g, N, k_extra = 0.4, 5, 2
     rule = _spectral_rule(g, N)
     sino = Sinogram(gamma=g, rule=rule, values=np.random.default_rng(3).standard_normal(rule.shape))
-    spectrum = boundary_spectrum(sino, N, k_extra)
+    spectrum = analyze(sino, N, k_extra)
     big_m = N + 2 * k_extra
     assert spectrum.shape == (N + 1, 2 * big_m + 1)
-    coeffs = analyze(sino, N, k_extra)
     for n in range(N + 1):
         for m in range(-big_m, big_m + 1):
-            if abs(m) <= n + 2 * k_extra and (n - m) % 2 == 0:
-                assert spectrum[n, big_m + m] == coeffs[(n, (n - m) // 2)]
-            else:
-                assert spectrum[n, big_m + m] == 0.0
+            in_band = abs(m) <= n + 2 * k_extra and (n - m) % 2 == 0
+            assert (spectrum[n, big_m + m] != 0.0) == in_band
+    assert _max_rel_diff(spectrum, _oracle_analyze(sino, N, k_extra)) <= 1e-13
 
 
 def _thresholds(degree, k_extra):
@@ -417,7 +425,7 @@ def test_resolution_threshold(d_beta, d_s, ok):
         assert np.abs(res.field.coeffs - field.coeffs).max() <= 1e-12
         assert range_defect(sino, N, k_extra) <= 1e-12
         return
-    for call in (boundary_spectrum, analyze, invert, range_defect):
+    for call in (analyze, invert, range_defect):
         with pytest.raises(ValueError, match="need beta_count"):
             call(sino, N, k_extra)
 
@@ -492,14 +500,3 @@ def test_tame_bounds_random_fields():
     with pytest.raises(ValueError):
         tame_bounds_check(1.0, 20, 1.0)  # needs s >= 2 when gamma = 1
 
-
-def test_spectrum_table_export(tmp_path):
-    table = SpectrumTable.build(0.0, 2)
-    path = tmp_path / "table.csv"
-    table.write(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "n,k,sigma,sigma_sq"
-    assert len(lines) == 1 + 6
-    n, k, s, s2 = lines[1].split(",")
-    assert (int(n), int(k)) == (0, 0)
-    assert float(s2) == pytest.approx(4.0 * math.pi, rel=1e-15)

@@ -242,6 +242,7 @@ _COEF_HEAD = "gamma=0\ndegree=2\n"
         (read_sinogram, "beta_count=2\n\ngamma=-3\ns_order=2\n", "bad.txt:3: gamma=-3: weight exponent"),
         (read_coefficients, "gamma=0\ndegree=-1\n", "bad.txt:2: degree=-1: must be >= 0"),
         (read_sinogram, "gamma=0\nbeta_count=0\ns_order=2\n", "bad.txt:2: beta_count=0: must be >= 1"),
+        (read_coefficients, "gamma=0\ndegree=3\n0,0,1,0\n3,1,0.5,=0.2\n", "bad.txt:4: could not convert"),
     ],
     ids=[
         "coefficient-repeat",
@@ -255,6 +256,7 @@ _COEF_HEAD = "gamma=0\ndegree=2\n"
         "sinogram-gamma-below-minus-one",
         "coefficient-degree-negative",
         "sinogram-beta-count-zero",
+        "coefficient-row-with-equals",
     ],
 )
 def test_table_readers_reject_bad_rows(tmp_path, reader, text, match):
