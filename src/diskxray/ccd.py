@@ -125,12 +125,12 @@ def ss_map(chart: CCDChart, fb: FanBeam) -> FanBeam:
     return FanBeam(fb.beta, ss_alpha(chart, fb.alpha))
 
 
-def ss_jacobian(chart: CCDChart, fb):
+def ss_jacobian(chart: CCDChart, alpha):
     """Jacobian ss' = d(alpha-tilde)/d(alpha) = c / (cos^2 a + c^2 sin^2 a).
 
-    Continuous up to the endpoints, where it equals 1/c.
+    ``alpha`` is an incidence angle or array of them.  Continuous up to the
+    endpoints, where it equals 1/c.
     """
-    alpha = fb.alpha if isinstance(fb, FanBeam) else np.asarray(fb, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     c = chart.c
     out = c / (np.cos(alpha) ** 2 + c * c * np.sin(alpha) ** 2)

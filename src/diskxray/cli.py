@@ -229,8 +229,9 @@ def _read_sinogram(args) -> xray.Sinogram:
 
 
 def _cmd_reconstruct(args) -> int:
-    if args.image and args.resolution < 2:  # checked before any output is written
-        raise ValueError("image resolution must be at least 2")
+    # checked before any output is written; a 2 x 2 grid has no pixel inside the disk
+    if args.image and args.resolution < 3:
+        raise ValueError("image resolution must be at least 3")
     sino = _read_sinogram(args)
     result = svdcore.invert(sino, args.degree)
     field = result.field

@@ -33,9 +33,9 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadratureRule1D:
-    """Nodes/weights for (1-x)^a (1+x)^b on [-1, 1], as read-only copies."""
+    """Nodes/weights for (1-x)^a (1+x)^b on [-1, 1], as read-only copies; immutable."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -43,8 +43,8 @@ class QuadratureRule1D:
     b: float
 
     def __post_init__(self):
-        self.nodes = readonly(self.nodes, float)
-        self.weights = readonly(self.weights, float)
+        object.__setattr__(self, "nodes", readonly(self.nodes, float))
+        object.__setattr__(self, "weights", readonly(self.weights, float))
 
     def integrate(self, values: np.ndarray):
         """Contract sampled values (last axis = nodes) with the weights."""
@@ -102,9 +102,9 @@ def jacobi_weight_moments(count: int, a: float, b: float) -> np.ndarray:
     return m
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiskQuadrature:
-    """Tensor rule on the closed disk for the measure d^gamma dA; arrays are read-only."""
+    """Tensor rule on the closed disk for the measure d^gamma dA; immutable, with read-only arrays."""
 
     gamma: float
     radial_nodes: np.ndarray  # u = rho^2 nodes in (0, 1)
@@ -118,13 +118,13 @@ class DiskQuadrature:
     def __post_init__(self):
         m = self.angular_count
         om = 2.0 * math.pi * np.arange(m) / m
-        self.radial_nodes = readonly(self.radial_nodes, float)
-        self.radial_weights = readonly(self.radial_weights, float)
+        object.__setattr__(self, "radial_nodes", readonly(self.radial_nodes, float))
+        object.__setattr__(self, "radial_weights", readonly(self.radial_weights, float))
         rho = np.sqrt(self.radial_nodes)
-        self.rho = readonly(np.repeat(rho, m))
-        self.omega = readonly(np.tile(om, rho.size))
-        self.weights = readonly(np.repeat(self.radial_weights * (2.0 * math.pi / m), m))
-        self.z = readonly(self.rho * np.exp(1j * self.omega))
+        object.__setattr__(self, "rho", readonly(np.repeat(rho, m)))
+        object.__setattr__(self, "omega", readonly(np.tile(om, rho.size)))
+        object.__setattr__(self, "weights", readonly(np.repeat(self.radial_weights * (2.0 * math.pi / m), m)))
+        object.__setattr__(self, "z", readonly(self.rho * np.exp(1j * self.omega)))
 
     def integrate(self, values: np.ndarray):
         """Integrate sampled values (aligned with .z) against d^gamma dA."""
@@ -147,14 +147,14 @@ def disk_rule(gamma, radial_order: int, angular_count: int) -> DiskQuadrature:
     return rule
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundaryQuadrature:
     """Tensor rule pairing regular factors over the boundary manifold.
 
     Stored data live on the grid (beta_i, s_j), s = sin(alpha).  Pairings of
     regular factors carry the net weight mu^(2*gamma+2) dbeta dalpha
     = (1-s^2)^(gamma+1/2) dbeta ds, which is the Jacobi weight of the s-rule.
-    Node and weight arrays are read-only copies.
+    The rule is immutable; node and weight arrays are read-only copies.
     """
 
     gamma: float
@@ -164,10 +164,10 @@ class BoundaryQuadrature:
     alpha: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.beta = readonly(self.beta, float)
-        self.s_nodes = readonly(self.s_nodes, float)
-        self.s_weights = readonly(self.s_weights, float)
-        self.alpha = readonly(np.arcsin(np.clip(self.s_nodes, -1.0, 1.0)))
+        object.__setattr__(self, "beta", readonly(self.beta, float))
+        object.__setattr__(self, "s_nodes", readonly(self.s_nodes, float))
+        object.__setattr__(self, "s_weights", readonly(self.s_weights, float))
+        object.__setattr__(self, "alpha", readonly(np.arcsin(np.clip(self.s_nodes, -1.0, 1.0))))
 
     @property
     def beta_count(self) -> int:

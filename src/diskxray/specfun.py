@@ -10,13 +10,11 @@ hundreds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 __all__ = [
-    "JacobiParams",
     "as_gamma",
     "gamma_matches",
     "ln_gamma",
@@ -53,21 +51,6 @@ def readonly(values, dtype=None) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class JacobiParams:
-    """Degree and weight exponents (a, b) of a Jacobi polynomial P_n^(a,b)."""
-
-    n: int
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if self.n < 0 or self.n != int(self.n):
-            raise ValueError(f"degree must be a nonnegative integer, got {self.n}")
-        if self.a <= -1.0 or self.b <= -1.0:
-            raise ValueError(f"Jacobi exponents must exceed -1, got a={self.a}, b={self.b}")
-
-
 def ln_gamma(x: float) -> float:
     """log Gamma(x) for x > 0."""
     if not x > 0:
@@ -90,13 +73,16 @@ def ln_binomial(n: float, k: float) -> float:
     return ln_gamma(n + 1.0) - ln_gamma(k + 1.0) - ln_gamma(n - k + 1.0)
 
 
-def jacobi_eval(p: JacobiParams, x):
-    """Evaluate P_n^(a,b)(x) by forward three-term recurrence.
+def jacobi_eval(n: int, a: float, b: float, x):
+    """Evaluate the Jacobi polynomial P_n^(a,b)(x) by forward three-term recurrence.
 
     ``x`` may be a scalar or ndarray (real or complex); the polynomial
     extension outside [-1, 1] is returned as-is.
     """
-    n, a, b = p.n, p.a, p.b
+    if n < 0 or n != int(n):
+        raise ValueError(f"degree must be a nonnegative integer, got {n}")
+    if a <= -1.0 or b <= -1.0:
+        raise ValueError(f"Jacobi exponents must exceed -1, got a={a}, b={b}")
     x = np.asarray(x)
     if n == 0:
         return np.ones_like(x) if x.ndim else 1.0 + 0.0 * x[()]

@@ -33,6 +33,7 @@ from .xray import Sinogram
 from .zernike import CoefficientField, triangle
 
 __all__ = [
+    "K_EXTRA",
     "InversionResult",
     "psi_values",
     "psi_hat_values",
@@ -52,6 +53,10 @@ __all__ = [
     "asym_envelope_check",
     "tame_bounds_check",
 ]
+
+
+# width of the kernel band that ``analyze`` measures: k in [-K_EXTRA, -1] and [n+1, n+K_EXTRA]
+K_EXTRA = 3
 
 
 def psi_values(n: int, k: int, gamma, beta, s):
@@ -175,21 +180,21 @@ def funcrel_sigma_sq(n: int, k: int, gamma) -> float:
     )
 
 
-def _require_resolution(rule: BoundaryQuadrature, degree: int, k_extra: int) -> None:
-    """Refuse a rule too coarse for ``analyze(sino, degree, k_extra)``.
+def _require_resolution(rule: BoundaryQuadrature, degree: int) -> None:
+    """Refuse a rule too coarse for ``analyze(sino, degree)``.
 
-    With M = degree + 2*k_extra, beta_count >= 2M+2 guarantees the no-alias
+    With M = degree + 2*K_EXTRA, beta_count >= 2M+2 guarantees the no-alias
     condition 2M+1 <= beta_count: two frequencies |m|, |m'| <= M differ by
     less than beta_count, so the beta sum separates them exactly.  And
     s_order >= degree+2 makes the Gauss-Jacobi rule exact for the products
     L_n L_n' of degree <= 2*degree.
     """
     need_s = degree + 2
-    need_beta = 2 * (degree + 2 * k_extra) + 2
+    need_beta = 2 * (degree + 2 * K_EXTRA) + 2
     if rule.s_order < need_s or rule.beta_count < need_beta:
         raise ValueError(
             f"boundary rule (beta_count={rule.beta_count}, s_order={rule.s_order}) "
-            f"under-resolves degree {degree} with k_extra={k_extra}; "
+            f"under-resolves degree {degree}; "
             f"need beta_count >= {need_beta}, s_order >= {need_s}"
         )
 
@@ -206,13 +211,13 @@ def _fourier(m: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.outer(m, angles))
 
 
-def analyze(sino, degree: int, k_extra: int = 3) -> np.ndarray:
+def analyze(sino, degree: int) -> np.ndarray:
     """Boundary-mode coefficients a_{n,k} = <g, psihat_{n,k}> of a sinogram,
-    n <= degree, k in [-k_extra, n + k_extra].
+    n <= degree, k in [-K_EXTRA, n + K_EXTRA].
 
-    Returns an array ``a`` of shape (degree+1, 2M+1), M = degree + 2*k_extra:
+    Returns an array ``a`` of shape (degree+1, 2M+1), M = degree + 2*K_EXTRA:
     ``a[n, M + m]`` is the pairing with the mode of frequency m = n-2k, for
-    every |m| <= n + 2*k_extra with m = n (mod 2); every other entry is 0.
+    every |m| <= n + 2*K_EXTRA with m = n (mod 2); every other entry is 0.
     Entries with |m| > n (k outside [0, n]) measure the component of the data
     in the kernel of the backprojection (range defect).
     Since psihat_{n,k} = c_n e^(i m beta) e^(i m alpha) L_n(sin alpha), the
@@ -221,15 +226,15 @@ def analyze(sino, degree: int, k_extra: int = 3) -> np.ndarray:
     O(degree^3) for the default rule sizes.
     """
     rule = sino.rule
-    _require_resolution(rule, degree, k_extra)
-    big_m = degree + 2 * k_extra
+    _require_resolution(rule, degree)
+    big_m = degree + 2 * K_EXTRA
     m = np.arange(-big_m, big_m + 1)
     weights = rule.s_weights * (2.0 * math.pi / rule.beta_count)
     per_m = (_fourier(-m, rule.beta) @ sino.values) * _fourier(-m, rule.alpha) * weights
     table = gegenbauer_table(degree, sino.gamma, rule.s_nodes)
     spectrum = (table @ per_m.T) * np.conj(_mode_scale(degree, sino.gamma))[:, None]
     n = np.arange(degree + 1)[:, None]
-    spectrum[(np.abs(m) > n + 2 * k_extra) | ((n - m) % 2 != 0)] = 0.0
+    spectrum[(np.abs(m) > n + 2 * K_EXTRA) | ((n - m) % 2 != 0)] = 0.0
     return spectrum
 
 
@@ -268,15 +273,15 @@ def _kernel_defect(spectrum: np.ndarray) -> float:
     return float(np.abs(spectrum[np.abs(m) > n]).max(initial=0.0))
 
 
-def invert(sino, degree: int, k_extra: int = 3) -> InversionResult:
+def invert(sino, degree: int) -> InversionResult:
     """Invert a sinogram through the SVD: f_{n,k} = a_{n,k} / sigma_{n,k}.
 
     Kernel-band coefficients (k outside [0, n]) are not inverted; their
     largest magnitude is reported as the defect, equal to ``range_defect``.
     """
-    spectrum = analyze(sino, degree, k_extra)
+    spectrum = analyze(sino, degree)
     tri = triangle(degree)
-    image = spectrum[tri.n, degree + 2 * k_extra + tri.n - 2 * tri.k]
+    image = spectrum[tri.n, degree + 2 * K_EXTRA + tri.n - 2 * tri.k]
     sig = np.sqrt(sigma_sq_flat(sino.gamma, degree))
     # a / sigma part by part, as Python divides a complex by a float: numpy's complex / real
     # multiplies by a reciprocal, which rounds differently; the "* 0.0" terms only set the
@@ -287,9 +292,9 @@ def invert(sino, degree: int, k_extra: int = 3) -> InversionResult:
     return InversionResult(field=CoefficientField(sino.gamma, degree, coeffs), defect=_kernel_defect(spectrum))
 
 
-def range_defect(sino, degree: int, k_extra: int = 3) -> float:
-    """Max |<g, psihat_{n,k}>| over the kernel band k in [-k_extra,-1] u [n+1,n+k_extra]."""
-    return _kernel_defect(analyze(sino, degree, k_extra))
+def range_defect(sino, degree: int) -> float:
+    """Max |<g, psihat_{n,k}>| over the kernel band k in [-K_EXTRA,-1] u [n+1,n+K_EXTRA]."""
+    return _kernel_defect(analyze(sino, degree))
 
 
 def sobolev_norm(field: CoefficientField, s: float) -> float:

@@ -98,18 +98,18 @@ def ladder_fd_residual(field: zernike.CoefficientField, points) -> float:
     """Worst gap at ``points`` between ``d_dz``/``d_dzbar`` of ``field`` and central
     differences at steps 1e-3 and 5e-4 combined by one Richardson step."""
     h = 1e-3
-    fz, fzb = zernike.d_dz(field), zernike.d_dzbar(field)
-    worst = 0.0
-    for z in points:
-        fd = {}
-        for name, step in (("x", h), ("y", 1j * h)):
-            d1 = (field.evaluate(z + step) - field.evaluate(z - step)) / (2.0 * h)
-            d2 = (field.evaluate(z + step / 2) - field.evaluate(z - step / 2)) / h
-            fd[name] = (4.0 * d2 - d1) / 3.0
-        dz_fd = 0.5 * (fd["x"] - 1j * fd["y"])
-        dzb_fd = 0.5 * (fd["x"] + 1j * fd["y"])
-        worst = max(worst, abs(dz_fd - fz.evaluate(z)), abs(dzb_fd - fzb.evaluate(z)))
-    return worst
+    z = np.asarray(points, dtype=complex)
+    steps = np.array([h, 1j * h])  # columns: x, then y
+    # one evaluation on all 8 stencil points of each point: z +- step, z +- step/2
+    vals = field.evaluate(z[:, None] + np.concatenate([steps, -steps, steps / 2, -steps / 2]))
+    d1 = (vals[:, 0:2] - vals[:, 2:4]) / (2.0 * h)
+    d2 = (vals[:, 4:6] - vals[:, 6:8]) / h
+    fd = (4.0 * d2 - d1) / 3.0
+    dz_fd = 0.5 * (fd[:, 0] - 1j * fd[:, 1])
+    dzb_fd = 0.5 * (fd[:, 0] + 1j * fd[:, 1])
+    gap_dz = np.abs(dz_fd - zernike.d_dz(field).evaluate(z))
+    gap_dzb = np.abs(dzb_fd - zernike.d_dzbar(field).evaluate(z))
+    return float(np.maximum(gap_dz, gap_dzb).max(initial=0.0))
 
 
 def ladder_bound_residual(gamma, n_max: int) -> float:

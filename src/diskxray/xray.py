@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DiskPoint, fanbeam_through_arrays
+from .geometry import fanbeam_through_arrays
 from .quadrature import BoundaryQuadrature, boundary_rule, gauss_jacobi
 from .specfun import as_gamma, readonly
 from .zernike import int_at_least, read_table, write_table
@@ -37,17 +37,17 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Sinogram:
-    """Sampled regular factor gtilde of boundary data g = mu^(2*gamma+1) gtilde (read-only copy)."""
+    """Sampled regular factor gtilde of boundary data g = mu^(2*gamma+1) gtilde (immutable, read-only copy)."""
 
     gamma: float
     rule: BoundaryQuadrature
     values: np.ndarray  # complex, shape (beta_count, s_order)
 
     def __post_init__(self):
-        self.gamma = as_gamma(self.gamma)
-        self.values = readonly(self.values, complex)
+        object.__setattr__(self, "gamma", as_gamma(self.gamma))
+        object.__setattr__(self, "values", readonly(self.values, complex))
         if self.values.shape != self.rule.shape:
             raise ValueError(f"value array shape {self.values.shape} != rule shape {self.rule.shape}")
         if not np.all(np.isfinite(self.values)):
@@ -109,25 +109,18 @@ def backproject_grid(gtilde, gamma, points, theta_order: int):
 def normal_apply(func, gamma, p, chord_order: int, theta_order: int):
     """Fully numeric normal operator: backprojection of the forward transform.
 
-    ``p`` may be a DiskPoint, complex scalar, or complex ndarray.  The
-    composition is fused: for each direction theta through each point, the
-    chord integral of func is evaluated by Gauss-Jacobi.
+    ``p`` is a complex point or array of points.  The composition is fused:
+    for each direction theta through each point, the chord integral of func
+    is evaluated by Gauss-Jacobi.
     """
     g = as_gamma(gamma)
-    if isinstance(p, DiskPoint):
-        z = np.asarray(p.z)
-        scalar = True
-    else:
-        z = np.asarray(p, dtype=complex)
-        scalar = z.ndim == 0
     chord = gauss_jacobi(chord_order, g, g)
 
     def gtilde(beta, alpha):
         pts = _chord_points(beta, alpha, chord.nodes)
         return np.asarray(func(pts), dtype=complex) @ chord.weights
 
-    out = backproject_grid(gtilde, g, z, theta_order)
-    return complex(out) if scalar else out
+    return backproject_grid(gtilde, g, p, theta_order)
 
 
 def adjoint_pairing_check(

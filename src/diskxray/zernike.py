@@ -21,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DiskPoint
 from .specfun import (
-    JacobiParams,
     as_gamma,
     gegenbauer_L,
     gegenbauer_leading_coeff,
@@ -95,32 +93,29 @@ class ZernikeIndex:
         object.__setattr__(self, "gamma", as_gamma(self.gamma))
 
 
-def _as_complex(p):
-    """Accept DiskPoint, complex scalar, or complex ndarray."""
-    if isinstance(p, DiskPoint):
-        return p.z
-    return np.asarray(p, dtype=complex) if isinstance(p, np.ndarray) else complex(p)
-
-
 def disk_poly(m: int, l: int, gamma, p):
-    """Disk polynomial P_{m,l}^gamma(z, zbar).
+    """Disk polynomial P_{m,l}^gamma(z, zbar) at a complex point or array of points.
 
     For m >= l this is (l! gamma!/(l+gamma)!) z^(m-l) P_l^(gamma, m-l)(2|z|^2-1);
-    the m < l branch is the conjugate-symmetric one, so that
-    P_{m,l}(z) = conj(P_{l,m}(z)).
+    for m < l it is the conjugate of P_{l,m}.  Points are computed as one flat
+    array, so a point passed alone (returned as a complex) gets its batch
+    value bit for bit; an array returns an array of its shape.
     """
     g = as_gamma(gamma)
     if m < 0 or l < 0:
         raise ValueError("disk polynomial indices must be nonnegative")
-    z = _as_complex(p)
+    z = np.asarray(p, dtype=complex)
+    flat = z.reshape(-1)
     # domain check with slack for boundary-hugging difference stencils
-    if np.any(np.abs(z) > 1.0 + 1e-6):
+    if np.any(np.abs(flat) > 1.0 + 1e-6):
         raise ValueError("evaluation point outside the closed unit disk")
+    lo, hi = min(m, l), max(m, l)
+    x = 2.0 * np.abs(flat) ** 2 - 1.0
+    pref = math.exp(ln_gamma(lo + 1.0) + ln_gamma(g + 1.0) - ln_gamma(lo + g + 1.0))
+    out = pref * flat ** (hi - lo) * jacobi_eval(lo, g, hi - lo, x)
     if m < l:
-        return np.conj(disk_poly(l, m, g, z))
-    x = 2.0 * np.abs(z) ** 2 - 1.0
-    pref = math.exp(ln_gamma(l + 1.0) + ln_gamma(g + 1.0) - ln_gamma(l + g + 1.0))
-    return pref * z ** (m - l) * jacobi_eval(JacobiParams(l, g, m - l), x)
+        out = np.conj(out)
+    return out.reshape(z.shape) if z.ndim else complex(out[0])
 
 
 def zernike_norm_sq(idx: ZernikeIndex) -> float:
@@ -178,35 +173,40 @@ def G_fourier_oracle(n: int, k: int, gamma, p, theta_order: int):
     g = as_gamma(gamma)
     if theta_order <= 2 * max(n, abs(n - 2 * k)):
         raise ValueError("theta_order too small to resolve the Fourier coefficient")
-    z = _as_complex(p)
-    z = np.asarray(z, dtype=complex)
+    z = np.asarray(p, dtype=complex)
+    flat = z.reshape(-1, 1)
     theta = 2.0 * math.pi * np.arange(theta_order) / theta_order
-    arg = 0.5j * (np.conj(z)[..., None] * np.exp(1j * theta) - z[..., None] * np.exp(-1j * theta))
-    vals = gegenbauer_L(n, g, arg) * np.exp(1j * (n - 2 * k) * theta)
-    out = vals.mean(axis=-1)
-    return out if out.ndim else complex(out)
+    arg = 0.5j * (np.conj(flat) * np.exp(1j * theta) - flat * np.exp(-1j * theta))
+    out = (gegenbauer_L(n, g, arg) * np.exp(1j * (n - 2 * k) * theta)).mean(axis=-1)
+    return out.reshape(z.shape) if z.ndim else complex(out[0])
 
 
+@dataclass(frozen=True, eq=False)
 class CoefficientField:
     """Truncated expansion of a disk function in the orthonormal basis Ghat.
 
     Coefficients are stored densely over the lower-triangular lattice
     {(n, k): n <= degree, 0 <= k <= n} in the layout of ``triangle(degree)``;
     the L^2(d^gamma) norm is the Euclidean norm of the coefficient vector.
-    The constructor copies the coefficients into a read-only array, so a
-    field is immutable; operators return new fields.
+    The constructor copies the coefficients into a read-only array and no
+    attribute can be rebound, so a field is immutable; operators return new
+    fields.
     """
 
-    def __init__(self, gamma, degree: int, coeffs: np.ndarray | None = None):
-        self.gamma = as_gamma(gamma)
-        if degree < 0:
+    gamma: float
+    degree: int
+    coeffs: np.ndarray | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "gamma", as_gamma(self.gamma))
+        if self.degree < 0:
             raise ValueError("degree must be nonnegative")
-        self.degree = int(degree)
+        object.__setattr__(self, "degree", int(self.degree))
         size = triangle(self.degree).n.size
-        coeffs = readonly(np.zeros(size) if coeffs is None else coeffs, complex)
+        coeffs = readonly(np.zeros(size) if self.coeffs is None else self.coeffs, complex)
         if coeffs.shape != (size,):
             raise ValueError(f"coefficient array must have length {size}, got {coeffs.shape}")
-        self.coeffs = coeffs
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def zeros(cls, gamma, degree: int) -> "CoefficientField":
@@ -243,14 +243,15 @@ class CoefficientField:
         return float(np.vdot(self.coeffs, self.coeffs).real)
 
     def evaluate(self, p):
-        """Pointwise synthesis sum f(z) = sum f_{n,k} Ghat_{n,k}(z)."""
-        z = _as_complex(p)
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros(z.shape, dtype=complex)
+        """Pointwise synthesis sum f(z) = sum f_{n,k} Ghat_{n,k}(z) at a complex
+        point (returned as a complex, equal to its batch value) or array of points."""
+        z = np.asarray(p, dtype=complex)
+        flat = z.reshape(-1)
+        out = np.zeros(flat.shape, dtype=complex)
         for n, k, c in self.modes():
             if c != 0.0:
-                out += c * G_hat_eval(ZernikeIndex(n, k, self.gamma), z)
-        return out if out.ndim else complex(out)
+                out += c * G_hat_eval(ZernikeIndex(n, k, self.gamma), flat)
+        return out.reshape(z.shape) if z.ndim else complex(out[0])
 
 
 def apply_L_gamma(f: CoefficientField) -> CoefficientField:
@@ -319,7 +320,8 @@ def _fd_mode(coord: float, other: float, h: float) -> str:
 
 
 def _fd_derivatives(func, x: float, y: float, h: float):
-    """(fx, fy, fxx, fyy, fxy) by tensor-product finite differences."""
+    """(fx, fy, fxx, fyy, fxy) by tensor-product finite differences; ``func``
+    is called once, on the array of stencil points."""
     mx = _fd_mode(x, y, h)
     my = _fd_mode(y, x, h)
     ox1, wx1 = _D1[mx]
@@ -328,11 +330,10 @@ def _fd_derivatives(func, x: float, y: float, h: float):
     oy2, wy2 = _D2[my]
     offs_x = sorted(set(ox1) | set(ox2))
     offs_y = sorted(set(oy1) | set(oy2))
-    grid = {
-        (i, j): func(complex(x + i * h, y + j * h))
-        for i in offs_x
-        for j in offs_y
-    }
+    xs = x + h * np.array(offs_x, dtype=float)
+    ys = y + h * np.array(offs_y, dtype=float)
+    vals = np.asarray(func(xs[:, None] + 1j * ys[None, :]), dtype=complex)
+    grid = {(i, j): vals[a, b] for a, i in enumerate(offs_x) for b, j in enumerate(offs_y)}
     fx = sum(w * grid[(i, 0)] for i, w in zip(ox1, wx1)) / h
     fy = sum(w * grid[(0, j)] for j, w in zip(oy1, wy1)) / h
     fxx = sum(w * grid[(i, 0)] for i, w in zip(ox2, wx2)) / (h * h)
@@ -343,7 +344,7 @@ def _fd_derivatives(func, x: float, y: float, h: float):
     return fx, fy, fxx, fyy, fxy
 
 
-def L_gamma_pointwise(func, gamma, p, h: float = 1e-4, richardson: bool = True):
+def L_gamma_pointwise(func, gamma, p):
     """Apply the disk operator to a pointwise-evaluable function at one point.
 
     Cartesian form (equivalent to the polar one, regular at rho = 0):
@@ -351,12 +352,14 @@ def L_gamma_pointwise(func, gamma, p, h: float = 1e-4, richardson: bool = True):
         -(1-rho^2) Lap f + (2+2*gamma)(x fx + y fy) - Dw^2 f + (gamma+1)^2 f,
 
     with Dw = x d/dy - y d/dx the angular derivative.  Uses second-order
-    finite differences (Richardson-extrapolated by default); stencils switch
-    to one-sided within 3h of the boundary, with reduced accuracy.
+    finite differences at steps h = 1e-4 and h/2, combined by one Richardson
+    step; stencils switch to one-sided within 3h of the boundary, with reduced
+    accuracy.  ``func`` must accept a complex point and an array of points.
     """
     g = as_gamma(gamma)
-    z = _as_complex(p)
-    x, y = float(np.real(z)), float(np.imag(z))
+    z = complex(p)
+    x, y = z.real, z.imag
+    h = 1e-4
 
     def combine(step: float):
         fx, fy, fxx, fyy, fxy = _fd_derivatives(func, x, y, step)
@@ -366,12 +369,8 @@ def L_gamma_pointwise(func, gamma, p, h: float = 1e-4, richardson: bool = True):
         dw2 = x * x * fyy + y * y * fxx - 2.0 * x * y * fxy - radial
         return -(1.0 - rho2) * lap + (2.0 + 2.0 * g) * radial - dw2
 
-    f0 = func(complex(x, y))
-    if richardson:
-        second = (4.0 * combine(h / 2.0) - combine(h)) / 3.0
-    else:
-        second = combine(h)
-    return second + (g + 1.0) ** 2 * f0
+    second = (4.0 * combine(h / 2.0) - combine(h)) / 3.0
+    return second + (g + 1.0) ** 2 * func(z)
 
 
 def write_table(path, head, rows) -> None:

@@ -328,9 +328,12 @@ def test_reconstruct_rejects_a_bad_resolution_before_writing(tmp_path, capsys):
     sino_path, rec_path, img_path = tmp_path / "s.txt", tmp_path / "r.txt", tmp_path / "i.pgm"
     assert main(["synthesize", phantom, "--degree", "2", "--out", str(sino_path)]) == 0
     argv = ["reconstruct", str(sino_path), "--degree", "2", "--out", str(rec_path), "--image", str(img_path)]
-    assert main([*argv, "--resolution", "1"]) == 2
-    assert "image resolution must be at least 2" in capsys.readouterr().err
-    assert not rec_path.exists() and not img_path.exists()
+    for resolution in ("1", "2"):
+        assert main([*argv, "--resolution", resolution]) == 2
+        assert "image resolution must be at least 3" in capsys.readouterr().err
+        assert not rec_path.exists() and not img_path.exists()
+    assert main([*argv, "--resolution", "3"]) == 0
+    assert rec_path.exists() and img_path.exists()
 
 
 def test_cli_reports_file_errors_cleanly(tmp_path, capsys):

@@ -6,7 +6,6 @@ import pytest
 
 from diskxray.quadrature import gauss_jacobi
 from diskxray.specfun import (
-    JacobiParams,
     as_gamma,
     beta,
     gegenbauer_L,
@@ -59,11 +58,11 @@ def test_beta_values():
 
 
 def test_jacobi_degree_zero_and_one():
-    assert jacobi_eval(JacobiParams(0, 0.3, -0.2), 0.3) == 1.0
+    assert jacobi_eval(0, 0.3, -0.2, 0.3) == 1.0
     for g in GAMMAS:
         x = 0.37
         expected = (g + 1.0) + (g + 2.0) * (x - 1.0) / 2.0
-        assert jacobi_eval(JacobiParams(1, g, 0.0), x) == pytest.approx(expected, rel=1e-14)
+        assert jacobi_eval(1, g, 0.0, x) == pytest.approx(expected, rel=1e-14)
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
@@ -72,15 +71,15 @@ def test_jacobi_endpoint_binomial(gamma):
     a = gamma + 0.5
     for n in range(51):
         want = math.exp(ln_gamma(n + a + 1.0) - ln_gamma(n + 1.0) - ln_gamma(a + 1.0))
-        got = jacobi_eval(JacobiParams(n, a, a), 1.0)
+        got = jacobi_eval(n, a, a, 1.0)
         assert got == pytest.approx(want, rel=1e-11)
 
 
 def test_jacobi_params_validation():
-    with pytest.raises(ValueError):
-        JacobiParams(-1, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        JacobiParams(2, -1.0, 0.0)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        jacobi_eval(-1, 0.0, 0.0, 0.5)
+    with pytest.raises(ValueError, match="must exceed -1"):
+        jacobi_eval(2, -1.0, 0.0, 0.5)
 
 
 def test_gegenbauer_low_degrees():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from diskxray.quadrature import boundary_rule, default_orders
 from diskxray.specfun import gegenbauer_norm_sq, ln_gamma
 from diskxray.svdcore import (
+    K_EXTRA,
     analyze,
     asym_envelope_check,
     funcrel_sigma_sq,
@@ -328,19 +329,19 @@ def test_range_defect_detects_injected_kernel_mode():
     assert range_defect(Sinogram(gamma=g, rule=rule, values=np.zeros(rule.shape)), N) == 0.0
 
 
-def _band(degree, k_extra=3):
-    """(n, k) over the band of ``analyze``: n <= degree, k in [-k_extra, n + k_extra]."""
-    return [(n, k) for n in range(degree + 1) for k in range(-k_extra, n + k_extra + 1)]
+def _band(degree):
+    """(n, k) over the band of ``analyze``: n <= degree, k in [-K_EXTRA, n + K_EXTRA]."""
+    return [(n, k) for n in range(degree + 1) for k in range(-K_EXTRA, n + K_EXTRA + 1)]
 
 
-def _oracle_analyze(sino, degree, k_extra=3):
+def _oracle_analyze(sino, degree):
     """Per-mode reference for ``analyze``, in its layout: one psihat grid and one rule.pair per (n, k)."""
     rule = sino.rule
     beta, _ = rule.grids()
     s = rule.s_nodes[None, :]
-    big_m = degree + 2 * k_extra
+    big_m = degree + 2 * K_EXTRA
     out = np.zeros((degree + 1, 2 * big_m + 1), dtype=complex)
-    for n, k in _band(degree, k_extra):
+    for n, k in _band(degree):
         out[n, big_m + n - 2 * k] = rule.pair(sino.values, psi_hat_values(n, k, sino.gamma, beta, s))
     return out
 
@@ -382,7 +383,7 @@ def test_separable_core_matches_per_mode_oracle(gamma):
     assert _max_rel_diff(got, want) <= 1e-13  # the whole band, kernel modes included
 
     res = invert(sino, N)
-    big_m = N + 6
+    big_m = N + 2 * K_EXTRA
     want_coeffs = [want[n, big_m + n - 2 * k] / sigma(n, k, gamma) for n, k in triangle(N).pairs()]
     assert _max_rel_diff(res.field.coeffs, want_coeffs) <= 1e-13
     want_defect = max(abs(want[n, big_m + n - 2 * k]) for n, k in _band(N) if not 0 <= k <= n)
@@ -391,22 +392,22 @@ def test_separable_core_matches_per_mode_oracle(gamma):
 
 
 def test_analyze_layout():
-    g, N, k_extra = 0.4, 5, 2
+    g, N = 0.4, 5
     rule = _spectral_rule(g, N)
     sino = Sinogram(gamma=g, rule=rule, values=np.random.default_rng(3).standard_normal(rule.shape))
-    spectrum = analyze(sino, N, k_extra)
-    big_m = N + 2 * k_extra
+    spectrum = analyze(sino, N)
+    big_m = N + 2 * K_EXTRA
     assert spectrum.shape == (N + 1, 2 * big_m + 1)
     for n in range(N + 1):
         for m in range(-big_m, big_m + 1):
-            in_band = abs(m) <= n + 2 * k_extra and (n - m) % 2 == 0
+            in_band = abs(m) <= n + 2 * K_EXTRA and (n - m) % 2 == 0
             assert (spectrum[n, big_m + m] != 0.0) == in_band
-    assert _max_rel_diff(spectrum, _oracle_analyze(sino, N, k_extra)) <= 1e-13
+    assert _max_rel_diff(spectrum, _oracle_analyze(sino, N)) <= 1e-13
 
 
-def _thresholds(degree, k_extra):
+def _thresholds(degree):
     """(beta_count, s_order) at which the resolution check starts to accept."""
-    return 2 * (degree + 2 * k_extra) + 2, degree + 2
+    return 2 * (degree + 2 * K_EXTRA) + 2, degree + 2
 
 
 @pytest.mark.parametrize(
@@ -415,19 +416,19 @@ def _thresholds(degree, k_extra):
     ids=["even-at-threshold", "odd-above", "beta-one-below", "beta-two-below", "s-one-below"],
 )
 def test_resolution_threshold(d_beta, d_s, ok):
-    g, N, k_extra = 0.3, 7, 2
-    need_beta, need_s = _thresholds(N, k_extra)
+    g, N = 0.3, 7
+    need_beta, need_s = _thresholds(N)
     rule = boundary_rule(g, need_beta + d_beta, need_s + d_s)
     field = CoefficientField.random(g, N, np.random.default_rng(8))
     sino = synthesize(field, rule)
     if ok:
-        res = invert(sino, N, k_extra)
+        res = invert(sino, N)
         assert np.abs(res.field.coeffs - field.coeffs).max() <= 1e-12
-        assert range_defect(sino, N, k_extra) <= 1e-12
+        assert range_defect(sino, N) <= 1e-12
         return
     for call in (analyze, invert, range_defect):
         with pytest.raises(ValueError, match="need beta_count"):
-            call(sino, N, k_extra)
+            call(sino, N)
 
 
 @settings(deadline=None, max_examples=60)
@@ -439,7 +440,7 @@ def test_resolution_threshold(d_beta, d_s, ok):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_invert_synthesize_round_trip_property(gamma, degree, d_beta, d_s, seed):
-    need_beta, need_s = _thresholds(degree, 3)
+    need_beta, need_s = _thresholds(degree)
     rule = boundary_rule(gamma, need_beta + d_beta, need_s + d_s)
     field = CoefficientField.random(gamma, degree, np.random.default_rng(seed))
     res = invert(synthesize(field, rule), degree)

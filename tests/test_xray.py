@@ -112,7 +112,7 @@ def test_normal_apply_constant(gamma):
 
 
 def test_normal_apply_constant_gamma_zero_is_4pi():
-    got = normal_apply(_ones, 0.0, DiskPoint(0.62, 0.3), 10, 24)
+    got = normal_apply(_ones, 0.0, DiskPoint(0.62, 0.3).z, 10, 24)
     assert got == pytest.approx(4.0 * math.pi, rel=1e-13)
 
 
@@ -280,3 +280,9 @@ def test_fields_sinograms_and_rules_are_read_only_copies():
             arr[0] = 7.0
     coeffs[0] = values[0, 0] = 7.0
     assert field.coeffs[0] == 0.0 and sino.values[0, 0] == 1.0
+    # no attribute can be rebound either, so gamma cannot bypass its check
+    for obj, attr in ((field, "gamma"), (field, "coeffs"), (sino, "gamma"), (sino, "values"), (rule, "gamma"),
+                      (rule, "alpha"), (disk, "gamma"), (disk, "z"), (line, "a"), (line, "weights")):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, -5)
+    assert field.gamma == sino.gamma == rule.gamma == disk.gamma == line.a == 0.5

@@ -220,6 +220,26 @@ def test_L_gamma_pointwise_near_boundary():
     assert got == pytest.approx(2.25, rel=1e-8)
 
 
+@pytest.mark.parametrize("gamma", [-0.5, 0.0, 0.5, 2.5])
+def test_a_point_passed_alone_gets_its_batch_value(gamma):
+    pts = _random_points(2000, radius=0.95, seed=17)
+    dense = CoefficientField.random(gamma, 12, np.random.default_rng(11)).coeffs
+    # every fifth mode (19 of 91, spread over all degrees) keeps 2000 single-point calls quick
+    field = CoefficientField(gamma, 12, np.where(np.arange(dense.size) % 5 == 0, dense, 0.0))
+    calls = [
+        lambda z: disk_poly(9, 3, gamma, z),
+        lambda z: disk_poly(2, 10, gamma, z),  # the conjugate branch
+        lambda z: G_hat_eval(ZernikeIndex(12, 5, gamma), z),
+        lambda z: G_eval(ZernikeIndex(11, 8, gamma), z),
+        lambda z: G_fourier_oracle(12, 5, gamma, z, 40),
+        field.evaluate,
+    ]
+    for call in calls:
+        alone = [call(complex(z)) for z in pts]
+        assert all(type(v) is complex for v in alone)
+        assert np.array_equal(alone, call(pts))  # bit for bit, not to a tolerance
+
+
 def test_disk_poly_domain_error():
     with pytest.raises(ValueError, match="outside"):
         disk_poly(2, 1, 0.5, 1.2 + 0.3j)
