@@ -3,7 +3,6 @@ and transfer to constant-curvature disks."""
 
 __version__ = "0.1.0"
 
-from .geometry import DiskPoint, FanBeam  # noqa: F401
 from .zernike import CoefficientField, ZernikeIndex  # noqa: F401
 from .xray import Sinogram  # noqa: F401
 from .ccd import CCDChart  # noqa: F401

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import FanBeam
 from .specfun import as_gamma
 from .svdcore import psi_norm_sq, psi_values, sigma
 from .xray import normal_apply
@@ -27,7 +26,6 @@ __all__ = [
     "phi_inverse",
     "w_factor",
     "d_R",
-    "ss_map",
     "ss_alpha",
     "ss_jacobian",
     "murel_check",
@@ -120,11 +118,6 @@ def ss_alpha(chart: CCDChart, alpha):
     return out if out.ndim else float(out)
 
 
-def ss_map(chart: CCDChart, fb: FanBeam) -> FanBeam:
-    """Line diffeomorphism ss(beta, alpha) = (beta, arctan(c tan alpha))."""
-    return FanBeam(fb.beta, ss_alpha(chart, fb.alpha))
-
-
 def ss_jacobian(chart: CCDChart, alpha):
     """Jacobian ss' = d(alpha-tilde)/d(alpha) = c / (cos^2 a + c^2 sin^2 a).
 
@@ -137,26 +130,27 @@ def ss_jacobian(chart: CCDChart, alpha):
     return out if out.ndim else float(out)
 
 
-def murel_check(chart: CCDChart, fb: FanBeam) -> tuple[float, float]:
+def murel_check(chart: CCDChart, alpha):
     """Both sides of the boundary-factor relation linking mu across the line map:
 
         mu_e o ss = sqrt((1+kappa R^2)/(1-kappa R^2)) * sqrt(ss') * mu.
 
-    The prefactor is forced by the alpha = 0 case, where mu_e o ss = 1 and
-    sqrt(ss'(0)) mu(0) = sqrt(c); statements of this identity with the
-    reciprocal prefactor do not close.
+    ``alpha`` is an incidence angle or array of them; the relation does not
+    involve beta.  The prefactor is forced by the alpha = 0 case, where
+    mu_e o ss = 1 and sqrt(ss'(0)) mu(0) = sqrt(c); statements of this
+    identity with the reciprocal prefactor do not close.
     """
-    lhs = math.cos(ss_alpha(chart, fb.alpha))
+    lhs = np.cos(ss_alpha(chart, alpha))
     pref = math.sqrt(1.0 / chart.c)
-    rhs = pref * math.sqrt(ss_jacobian(chart, fb.alpha)) * math.cos(fb.alpha)
+    rhs = pref * np.sqrt(ss_jacobian(chart, alpha)) * np.cos(alpha)
     return lhs, rhs
 
 
-def t_function(chart: CCDChart, gamma, fb: FanBeam) -> float:
-    """Boundary defining function t = (mu (ss* mu_e)^(2 gamma))^(1/(2 gamma+1))."""
+def t_function(chart: CCDChart, gamma, alpha):
+    """Boundary defining function t = (mu (ss* mu_e)^(2 gamma))^(1/(2 gamma+1)) at incidence angles ``alpha``."""
     g = as_gamma(gamma)
-    mu = math.cos(fb.alpha)
-    mu_e = math.cos(ss_alpha(chart, fb.alpha))
+    mu = np.cos(alpha)
+    mu_e = np.cos(ss_alpha(chart, alpha))
     return (mu * mu_e ** (2.0 * g)) ** (1.0 / (2.0 * g + 1.0))
 
 

@@ -272,7 +272,7 @@ def _cmd_verify(args) -> int:
 def _cmd_ccd_verify(args) -> int:
     chart = ccdmod.CCDChart(args.kappa, args.radius)
     gamma = as_gamma(args.gamma)
-    murel = verify.murel_residual(chart, (0.4,), np.linspace(-1.5, 1.5, 13))
+    murel = verify.murel_residual(chart, np.linspace(-1.5, 1.5, 13))
     [inter] = ccdmod.interIstar_verify(chart, [gamma], zernike.triangle(min(args.degree, 4)).pairs(), 0.27 + 0.11j)
     rows = [
         verify.CheckResult("murel identity", murel, 1e-12),

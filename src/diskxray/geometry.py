@@ -2,33 +2,25 @@
 
 A pair (beta, alpha) describes the line entering the disk at the boundary
 point e^(i beta) with incoming direction e^(i(beta+pi+alpha)), traversed for
-0 <= t <= 2 cos(alpha).  Angles are stored as raw reals; reduction mod 2*pi
-happens only where coordinates are compared.
+0 <= t <= 2 cos(alpha).  Chords are (beta, alpha) scalars or arrays; angles
+are stored as raw reals, and reduction mod 2*pi happens only where
+coordinates are compared.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "FanBeam",
-    "DiskPoint",
     "wrap_angle",
-    "chord_point",
-    "exit_time",
-    "boundary_distance",
+    "chord_points",
     "chord_depth",
-    "fanbeam_through",
     "fanbeam_through_arrays",
     "scattering",
     "antipodal_scattering",
 ]
-
-_HALF_PI = math.pi / 2.0
-_ANGLE_TOL = 1e-12
 
 
 def wrap_angle(x):
@@ -36,83 +28,27 @@ def wrap_angle(x):
     return np.mod(x, 2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class FanBeam:
-    """Fan-beam coordinates (beta, alpha) of a directed chord."""
+def chord_points(beta, alpha, s):
+    """Chord sample points e^(i beta) + cos(alpha)(1+s) e^(i(beta+pi+alpha)).
 
-    beta: float
-    alpha: float
-
-    def __post_init__(self):
-        a = float(self.alpha)
-        if abs(a) > _HALF_PI + _ANGLE_TOL:
-            raise ValueError(f"alpha must lie in [-pi/2, pi/2], got {self.alpha}")
-        object.__setattr__(self, "alpha", min(max(a, -_HALF_PI), _HALF_PI))
-        object.__setattr__(self, "beta", float(self.beta))
+    The arc length is t = cos(alpha)(1+s), so s = -1 is the entry point and
+    s = 1 the exit point.  beta/alpha broadcast against each other; s adds a
+    trailing axis.
+    """
+    beta = np.asarray(beta, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    t = np.cos(alpha)[..., None] * (1.0 + np.asarray(s))
+    return np.exp(1j * beta)[..., None] + t * np.exp(1j * (beta + math.pi + alpha))[..., None]
 
 
-@dataclass(frozen=True)
-class DiskPoint:
-    """Point of the closed unit disk in polar coordinates (rho, omega)."""
-
-    rho: float
-    omega: float
-
-    def __post_init__(self):
-        r = float(self.rho)
-        if r < 0.0 or r > 1.0 + 1e-12:
-            raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
-        object.__setattr__(self, "rho", min(r, 1.0))
-        object.__setattr__(self, "omega", float(self.omega))
-
-    @classmethod
-    def from_xy(cls, x: float, y: float) -> "DiskPoint":
-        return cls(math.hypot(x, y), math.atan2(y, x))
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "DiskPoint":
-        return cls(abs(z), math.atan2(z.imag, z.real))
-
-    @property
-    def z(self) -> complex:
-        return self.rho * complex(math.cos(self.omega), math.sin(self.omega))
-
-    @property
-    def x(self) -> float:
-        return self.rho * math.cos(self.omega)
-
-    @property
-    def y(self) -> float:
-        return self.rho * math.sin(self.omega)
-
-
-def exit_time(line: FanBeam) -> float:
-    """Chord length 2 cos(alpha); zero for tangent lines."""
-    return max(2.0 * math.cos(line.alpha), 0.0)
-
-
-def chord_point(line: FanBeam, t: float) -> DiskPoint:
-    """Point e^(i beta) + t e^(i(beta+pi+alpha)) at arc length t along the chord."""
-    tmax = exit_time(line)
-    if t < -1e-12 or t > tmax + 1e-12:
-        raise ValueError(f"t={t} outside chord range [0, {tmax}]")
-    z = np.exp(1j * line.beta) + t * np.exp(1j * (line.beta + math.pi + line.alpha))
-    return DiskPoint.from_complex(complex(z))
-
-
-def boundary_distance(p: DiskPoint) -> float:
-    """Boundary defining function d = 1 - rho^2."""
-    return 1.0 - p.rho * p.rho
-
-
-def chord_depth(line: FanBeam, t):
+def chord_depth(alpha, t):
     """The factorization d(chord(t)) = t (2 cos(alpha) - t), as a named identity.
 
     This is what turns the weight d^gamma along a chord into the Jacobi
     weight (1-s^2)^gamma under t = cos(alpha)(1+s); the X-ray quadrature
-    substitution depends on it.  ``t`` may be an ndarray.
+    substitution depends on it.  ``alpha`` and ``t`` broadcast.
     """
-    return np.asarray(t) * (2.0 * math.cos(line.alpha) - np.asarray(t))
+    return np.asarray(t) * (2.0 * np.cos(alpha) - np.asarray(t))
 
 
 def fanbeam_through_arrays(rho, omega, theta):
@@ -130,30 +66,15 @@ def fanbeam_through_arrays(rho, omega, theta):
     return beta, alpha
 
 
-def fanbeam_through(p: DiskPoint, theta: float) -> FanBeam:
-    """The unique line through a disk point with direction angle theta."""
-    beta, alpha = fanbeam_through_arrays(p.rho, p.omega, theta)
-    return FanBeam(float(beta), float(alpha))
-
-
-def _coords(line) -> tuple[float, float]:
-    if isinstance(line, FanBeam):
-        return line.beta, line.alpha
-    b, a = line
-    return float(b), float(a)
-
-
-def scattering(line) -> tuple[float, float]:
+def scattering(beta, alpha):
     """Scattering relation S(beta, alpha) = (beta+pi+2*alpha, pi-alpha).
 
     The second component is the outgoing parameterization and deliberately
     leaves [-pi/2, pi/2], so a raw coordinate pair is returned.
     """
-    b, a = _coords(line)
-    return b + math.pi + 2.0 * a, math.pi - a
+    return beta + math.pi + 2.0 * alpha, math.pi - alpha
 
 
-def antipodal_scattering(line) -> tuple[float, float]:
+def antipodal_scattering(beta, alpha):
     """Antipodal scattering relation S_A(beta, alpha) = (beta+pi+2*alpha, -alpha)."""
-    b, a = _coords(line)
-    return b + math.pi + 2.0 * a, -a
+    return beta + math.pi + 2.0 * alpha, -alpha

@@ -43,7 +43,6 @@ __all__ = [
     "sigma_sq_beta_form",
     "sigma_ratio",
     "sigma_sq_flat",
-    "sigma_sq_triangle",
     "funcrel_sigma_sq",
     "analyze",
     "synthesize",
@@ -155,11 +154,6 @@ def sigma_sq_flat(gamma, degree: int) -> np.ndarray:
     return readonly(np.fromiter(map(math.exp, ln.tolist()), float, tri.n.size))
 
 
-def sigma_sq_triangle(gamma, degree: int) -> list[np.ndarray]:
-    """sigma^2 rows per degree n <= degree: views of ``sigma_sq_flat``."""
-    return np.split(sigma_sq_flat(gamma, degree), triangle(degree).starts[1:-1])
-
-
 def funcrel_sigma_sq(n: int, k: int, gamma) -> float:
     """Diagonal value of the normal operator from the functional relation
     (Gamma form), with the spectral substitutions D -> n, Dw -> n-2k:
@@ -181,7 +175,7 @@ def funcrel_sigma_sq(n: int, k: int, gamma) -> float:
 
 
 def _require_resolution(rule: BoundaryQuadrature, degree: int) -> None:
-    """Refuse a rule too coarse for ``analyze(sino, degree)``.
+    """Refuse a negative degree, or a rule too coarse for ``analyze(sino, degree)``.
 
     With M = degree + 2*K_EXTRA, beta_count >= 2M+2 guarantees the no-alias
     condition 2M+1 <= beta_count: two frequencies |m|, |m'| <= M differ by
@@ -189,6 +183,8 @@ def _require_resolution(rule: BoundaryQuadrature, degree: int) -> None:
     s_order >= degree+2 makes the Gauss-Jacobi rule exact for the products
     L_n L_n' of degree <= 2*degree.
     """
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
     need_s = degree + 2
     need_beta = 2 * (degree + 2 * K_EXTRA) + 2
     if rule.s_order < need_s or rule.beta_count < need_beta:
@@ -333,13 +329,13 @@ def asym_envelope_check(gamma, degree: int) -> EnvelopeReport:
     g = as_gamma(gamma)
     if degree < 2:
         raise ValueError("degree must be >= 2")
-    table = sigma_sq_triangle(g, degree)
+    s2, starts = sigma_sq_flat(g, degree), triangle(degree).starts
     e_min = min(-1.0, -1.0 - g)
     e_max = max(-1.0, -1.0 - g)
     extremizers_ok = True
     lo_vals, hi_vals = [], []
     for n in range(1, degree + 1):
-        row = table[n]
+        row = s2[starts[n] : starts[n + 1]]
         kmin = int(np.argmin(row))
         kmax = int(np.argmax(row))
         interior = {n // 2, (n + 1) // 2}  # floor(n/2) and its symmetric twin for odd n

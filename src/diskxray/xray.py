@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import fanbeam_through_arrays
+from .geometry import chord_points, fanbeam_through_arrays
 from .quadrature import BoundaryQuadrature, boundary_rule, gauss_jacobi
 from .specfun import as_gamma, readonly
 from .zernike import int_at_least, read_table, write_table
@@ -54,17 +54,6 @@ class Sinogram:
             raise ValueError("sinogram contains non-finite entries")
 
 
-def _chord_points(beta, alpha, s):
-    """Chord sample points e^(i beta) + cos(alpha)(1+s) e^(i(beta+pi+alpha)).
-
-    beta/alpha broadcast against each other; s adds a trailing axis.
-    """
-    beta = np.asarray(beta, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    t = np.cos(alpha)[..., None] * (1.0 + np.asarray(s))
-    return np.exp(1j * beta)[..., None] + t * np.exp(1j * (beta + math.pi + alpha))[..., None]
-
-
 def forward(func, gamma, rule: BoundaryQuadrature, chord_order: int) -> Sinogram:
     """Weighted forward transform of a pointwise-evaluable disk function.
 
@@ -77,7 +66,7 @@ def forward(func, gamma, rule: BoundaryQuadrature, chord_order: int) -> Sinogram
         raise ValueError("chord_order must be >= 1")
     chord = gauss_jacobi(chord_order, g, g)
     beta, alpha = rule.grids()
-    pts = _chord_points(beta, alpha, chord.nodes)
+    pts = chord_points(beta, alpha, chord.nodes)
     vals = np.asarray(func(pts), dtype=complex)
     if not np.all(np.isfinite(vals)):
         bad = np.argwhere(~np.isfinite(vals))[0]
@@ -117,7 +106,7 @@ def normal_apply(func, gamma, p, chord_order: int, theta_order: int):
     chord = gauss_jacobi(chord_order, g, g)
 
     def gtilde(beta, alpha):
-        pts = _chord_points(beta, alpha, chord.nodes)
+        pts = chord_points(beta, alpha, chord.nodes)
         return np.asarray(func(pts), dtype=complex) @ chord.weights
 
     return backproject_grid(gtilde, g, p, theta_order)
@@ -160,17 +149,21 @@ def write_sinogram(path, sino: Sinogram, header_extra: dict | None = None) -> No
 
 
 def read_sinogram(path) -> tuple[Sinogram, dict]:
-    """Parse a sinogram file (exactly one row per node); the rule is rebuilt from the recorded sizes."""
+    """Parse a sinogram file (exactly one row per node); the rule is rebuilt from the recorded sizes.
+
+    The rows are checked against the recorded sizes before the value array
+    and the rule are built, so a short file costs no more than its rows.
+    """
     count = int_at_least(1)
     header, rows = read_table(path, {"gamma": as_gamma, "beta_count": count, "s_order": count}, "i,j,re,im")
     gamma, nb, ns = header["gamma"], header["beta_count"], header["s_order"]
-    rule = boundary_rule(gamma, nb, ns)
-    values = np.zeros((nb, ns), dtype=complex)
-    for (i, j), (v, lineno) in rows.items():
+    for (i, j), (_, lineno) in rows.items():
         if not (0 <= i < nb and 0 <= j < ns):
             raise ValueError(f"{path}:{lineno}: node index ({i}, {j}) out of range")
-        values[i, j] = v
     if len(rows) < nb * ns:
         i, j = next((i, j) for i in range(nb) for j in range(ns) if (i, j) not in rows)
         raise ValueError(f"{path}: no row for node index ({i}, {j}); {len(rows)} of {nb * ns} present")
-    return Sinogram(gamma=gamma, rule=rule, values=values), header
+    values = np.zeros((nb, ns), dtype=complex)
+    for (i, j), (v, _) in rows.items():
+        values[i, j] = v
+    return Sinogram(gamma=gamma, rule=boundary_rule(gamma, nb, ns), values=values), header

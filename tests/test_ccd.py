@@ -13,12 +13,10 @@ from diskxray.ccd import (
     phi_map,
     ss_alpha,
     ss_jacobian,
-    ss_map,
     t_function,
     transfer_normal_apply,
     w_factor,
 )
-from diskxray.geometry import FanBeam
 from diskxray.verify import murel_residual
 from diskxray.xray import normal_apply
 from diskxray.zernike import G_hat_eval, ZernikeIndex
@@ -83,8 +81,7 @@ def test_d_R_matches_composition():
 
 def test_ss_map_basics():
     chart = CCDChart(0.3, 0.9)
-    assert ss_map(chart, FanBeam(0.4, 0.0)).alpha == 0.0
-    assert ss_map(chart, FanBeam(0.4, 0.0)).beta == 0.4
+    assert ss_alpha(chart, 0.0) == 0.0
     assert ss_alpha(chart, math.pi / 2) == pytest.approx(math.pi / 2, abs=1e-14)
     assert ss_alpha(chart, -math.pi / 2) == pytest.approx(-math.pi / 2, abs=1e-14)
     flat = CCDChart(0.0, 1.0)
@@ -113,15 +110,14 @@ def test_ss_jacobian_finite_difference():
 
 @pytest.mark.parametrize("chart", CHARTS)
 def test_murel_identity(chart):
-    assert murel_residual(chart, (0.0, 2.1), np.linspace(-1.55, 1.55, 19)) <= 1e-12
+    assert murel_residual(chart, np.linspace(-1.55, 1.55, 19)) <= 1e-12
 
 
 def test_t_function_boundary_defining():
     chart = CCDChart(0.3, 0.9)
     for g in (0.0, 0.5, 2.0):
-        interior = [t_function(chart, g, FanBeam(0.1, a)) for a in np.linspace(-1.5, 1.5, 11)]
-        assert all(t > 0.0 for t in interior)
-        assert t_function(chart, g, FanBeam(0.1, math.pi / 2)) == pytest.approx(0.0, abs=1e-12)
+        assert np.all(t_function(chart, g, np.linspace(-1.5, 1.5, 11)) > 0.0)
+        assert t_function(chart, g, math.pi / 2) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fanbeam_from_interior_flat_matches_geometry():

@@ -336,6 +336,18 @@ def test_reconstruct_rejects_a_bad_resolution_before_writing(tmp_path, capsys):
     assert rec_path.exists() and img_path.exists()
 
 
+@pytest.mark.parametrize("command", ["reconstruct", "range-check"])
+def test_negative_degree_is_rejected_before_writing(command, tmp_path, capsys):
+    phantom = _write(tmp_path / "ph.txt", "gamma=0.5\ndegree=0\n0,0,1.0,0.0\n")
+    sino_path, rec_path = tmp_path / "s.txt", tmp_path / "r.txt"
+    assert main(["synthesize", phantom, "--gamma", "0.5", "--degree", "2", "--out", str(sino_path)]) == 0
+    capsys.readouterr()
+    argv = [command, str(sino_path), "--gamma", "0.5", "--degree", "-1"]
+    assert main([*argv, "--out", str(rec_path)] if command == "reconstruct" else argv) == 2
+    assert capsys.readouterr().err == "error: degree must be nonnegative\n"
+    assert not rec_path.exists()
+
+
 def test_cli_reports_file_errors_cleanly(tmp_path, capsys):
     bad = _write(tmp_path / "bad.txt", "gamma=0\ndegree=2\n2,3,1.0,0.0\n")
     assert main(["synthesize", bad, "--degree", "2", "--out", str(tmp_path / "s.txt")]) == 2

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from diskxray.geometry import DiskPoint
+from diskxray import xray
 from diskxray.quadrature import boundary_rule, default_orders, disk_rule, gauss_jacobi
 from diskxray.specfun import ln_gamma
 from diskxray.svdcore import psi_hat_values, psi_values, sigma
@@ -81,7 +81,7 @@ def test_forward_linearity_at_nodes():
 
 
 def test_backproject_constant():
-    assert backproject_grid(lambda b, a: np.ones_like(b + a), 0.5, DiskPoint(0.3, 1.0).z, 16) == pytest.approx(
+    assert backproject_grid(lambda b, a: np.ones_like(b + a), 0.5, 0.1621 + 0.2524j, 16) == pytest.approx(
         2.0 * math.pi, rel=1e-13
     )
 
@@ -112,7 +112,7 @@ def test_normal_apply_constant(gamma):
 
 
 def test_normal_apply_constant_gamma_zero_is_4pi():
-    got = normal_apply(_ones, 0.0, DiskPoint(0.62, 0.3).z, 10, 24)
+    got = normal_apply(_ones, 0.0, 0.5923 + 0.1832j, 10, 24)
     assert got == pytest.approx(4.0 * math.pi, rel=1e-13)
 
 
@@ -264,6 +264,26 @@ def test_table_readers_reject_bad_rows(tmp_path, reader, text, match):
     path.write_text(text)
     with pytest.raises(ValueError, match=match):
         reader(path)
+
+
+@pytest.mark.parametrize(
+    "rows, match",
+    [
+        ("0,0,1,0\n", "short.txt: no row for node index \\(0, 1\\); 1 of 10000 present"),
+        ("0,0,1,0\n4,0,1,0\n", "short.txt:5: node index \\(4, 0\\) out of range"),
+    ],
+    ids=["missing", "out-of-range-first"],
+)
+def test_read_sinogram_checks_rows_before_building_the_rule(tmp_path, monkeypatch, rows, match):
+    # the header declares a rule whose Golub-Welsch solve needs O(s_order^2) memory
+    def no_rule(*args):
+        raise AssertionError("boundary rule built before the rows were checked")
+
+    monkeypatch.setattr(xray, "boundary_rule", no_rule)
+    path = tmp_path / "short.txt"
+    path.write_text("gamma=0\nbeta_count=4\ns_order=2500\n" + rows)
+    with pytest.raises(ValueError, match=match):
+        read_sinogram(path)
 
 
 def test_fields_sinograms_and_rules_are_read_only_copies():
