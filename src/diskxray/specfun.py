@@ -77,7 +77,8 @@ def jacobi_eval(n: int, a: float, b: float, x):
     """Evaluate the Jacobi polynomial P_n^(a,b)(x) by forward three-term recurrence.
 
     ``x`` may be a scalar or ndarray (real or complex); the polynomial
-    extension outside [-1, 1] is returned as-is.
+    extension outside [-1, 1] is returned as-is.  The recurrence runs in place
+    on three rotating buffers and never writes into ``x``.
     """
     if n < 0 or n != int(n):
         raise ValueError(f"degree must be a nonnegative integer, got {n}")
@@ -86,15 +87,24 @@ def jacobi_eval(n: int, a: float, b: float, x):
     x = np.asarray(x)
     if n == 0:
         return np.ones_like(x) if x.ndim else 1.0 + 0.0 * x[()]
-    pm1 = np.ones_like(x)
-    pn = (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
+    pn, nxt, pm1 = (np.empty(x.shape, np.result_type(x, 1.0)) for _ in range(3))
+    np.subtract(x, 1.0, out=pn)
+    pn *= a + b + 2.0
+    pn /= 2.0
+    np.add(a + 1.0, pn, out=pn)
     for m in range(2, n + 1):
         c1 = 2.0 * m * (m + a + b) * (2.0 * m + a + b - 2.0)
         c2 = 2.0 * m + a + b - 1.0
         c3 = (2.0 * m + a + b) * (2.0 * m + a + b - 2.0)
         c4 = a * a - b * b
         c5 = 2.0 * (m + a - 1.0) * (m + b - 1.0) * (2.0 * m + a + b)
-        pn, pm1 = (c2 * (c3 * x + c4) * pn - c5 * pm1) / c1, pn
+        np.multiply(c3, x, out=nxt)
+        nxt += c4
+        np.multiply(c2, nxt, out=nxt)
+        nxt *= pn
+        nxt -= np.multiply(c5, pm1, out=pm1) if m > 2 else c5  # P_0 = 1
+        nxt /= c1
+        pm1, pn, nxt = pn, nxt, pm1
     return pn if x.ndim else pn[()]
 
 

@@ -79,6 +79,11 @@ def triangle(degree: int) -> Triangle:
     return Triangle(readonly(n), readonly(np.arange(starts[-1]) - starts[n]), readonly(starts))
 
 
+# points per block of CoefficientField.evaluate: the fastest of 8192, 16384 and
+# 32768 on a 384 x 384 render
+EVALUATE_BLOCK = 16384
+
+
 @dataclass(frozen=True)
 class ZernikeIndex:
     """Index (n, k) of the disk basis, 0 <= k <= n, at weight gamma."""
@@ -93,6 +98,32 @@ class ZernikeIndex:
         object.__setattr__(self, "gamma", as_gamma(self.gamma))
 
 
+def _disk_points(p):
+    """A point argument as (its shape, its points as one flat complex array, 2|z|^2 - 1)."""
+    z = np.asarray(p, dtype=complex)
+    flat = z.reshape(-1)
+    x = np.abs(flat)
+    # domain check with slack for boundary-hugging difference stencils
+    if np.any(x > 1.0 + 1e-6):
+        raise ValueError("evaluation point outside the closed unit disk")
+    x **= 2
+    x *= 2.0
+    x -= 1.0
+    return z.shape, flat, x
+
+
+def _disk_mode(m: int, l: int, g: float, flat, x):
+    """P_{m,l}^g at the points ``flat`` (with x = 2|z|^2 - 1), as a new flat array."""
+    lo, hi = min(m, l), max(m, l)
+    pref = math.exp(ln_gamma(lo + 1.0) + ln_gamma(g + 1.0) - ln_gamma(lo + g + 1.0))
+    out = flat ** (hi - lo)
+    out *= pref
+    out *= jacobi_eval(lo, g, hi - lo, x)
+    if m < l:
+        np.conj(out, out=out)
+    return out
+
+
 def disk_poly(m: int, l: int, gamma, p):
     """Disk polynomial P_{m,l}^gamma(z, zbar) at a complex point or array of points.
 
@@ -104,18 +135,9 @@ def disk_poly(m: int, l: int, gamma, p):
     g = as_gamma(gamma)
     if m < 0 or l < 0:
         raise ValueError("disk polynomial indices must be nonnegative")
-    z = np.asarray(p, dtype=complex)
-    flat = z.reshape(-1)
-    # domain check with slack for boundary-hugging difference stencils
-    if np.any(np.abs(flat) > 1.0 + 1e-6):
-        raise ValueError("evaluation point outside the closed unit disk")
-    lo, hi = min(m, l), max(m, l)
-    x = 2.0 * np.abs(flat) ** 2 - 1.0
-    pref = math.exp(ln_gamma(lo + 1.0) + ln_gamma(g + 1.0) - ln_gamma(lo + g + 1.0))
-    out = pref * flat ** (hi - lo) * jacobi_eval(lo, g, hi - lo, x)
-    if m < l:
-        out = np.conj(out)
-    return out.reshape(z.shape) if z.ndim else complex(out[0])
+    shape, flat, x = _disk_points(p)
+    out = _disk_mode(m, l, g, flat, x)
+    return out.reshape(shape) if shape else complex(out[0])
 
 
 def zernike_norm_sq(idx: ZernikeIndex) -> float:
@@ -160,7 +182,10 @@ def G_eval(idx: ZernikeIndex, p):
 def G_hat_eval(idx: ZernikeIndex, p):
     """Orthonormal basis element Ghat_{n,k} = (-1)^k P_{n-k,k} / ||P_{n-k,k}||."""
     scale = (-1.0) ** idx.k / math.sqrt(zernike_norm_sq(idx))
-    return scale * disk_poly(idx.n - idx.k, idx.k, idx.gamma, p)
+    shape, flat, x = _disk_points(p)
+    out = _disk_mode(idx.n - idx.k, idx.k, idx.gamma, flat, x)
+    out *= scale
+    return out.reshape(shape) if shape else complex(out[0])
 
 
 def G_fourier_oracle(n: int, k: int, gamma, p, theta_order: int):
@@ -244,13 +269,19 @@ class CoefficientField:
 
     def evaluate(self, p):
         """Pointwise synthesis sum f(z) = sum f_{n,k} Ghat_{n,k}(z) at a complex
-        point (returned as a complex, equal to its batch value) or array of points."""
+        point (returned as a complex, equal to its batch value) or array of points.
+        Points run in blocks of ``EVALUATE_BLOCK``, each through every mode, so the
+        working arrays stay in cache; no value depends on the batch size."""
         z = np.asarray(p, dtype=complex)
         flat = z.reshape(-1)
         out = np.zeros(flat.shape, dtype=complex)
-        for n, k, c in self.modes():
-            if c != 0.0:
-                out += c * G_hat_eval(ZernikeIndex(n, k, self.gamma), flat)
+        terms = [(ZernikeIndex(n, k, self.gamma), c) for n, k, c in self.modes() if c != 0.0]
+        for start in range(0, flat.size, EVALUATE_BLOCK):
+            block, acc = flat[start : start + EVALUATE_BLOCK], out[start : start + EVALUATE_BLOCK]
+            for idx, c in terms:
+                # G_hat_eval returns a view, which numpy never reuses in place as a
+                # temporary (that loop can round the product differently)
+                acc += c * G_hat_eval(idx, block)
         return out.reshape(z.shape) if z.ndim else complex(out[0])
 
 

@@ -75,6 +75,47 @@ def test_jacobi_endpoint_binomial(gamma):
         assert got == pytest.approx(want, rel=1e-11)
 
 
+def _jacobi_allocating(n, a, b, x):
+    """Reference: the same recurrence written with a fresh array per operation."""
+    x = np.asarray(x)
+    if n == 0:
+        return np.ones_like(x) if x.ndim else 1.0 + 0.0 * x[()]
+    pm1 = np.ones_like(x)
+    pn = (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
+    for m in range(2, n + 1):
+        c1 = 2.0 * m * (m + a + b) * (2.0 * m + a + b - 2.0)
+        c2 = 2.0 * m + a + b - 1.0
+        c3 = (2.0 * m + a + b) * (2.0 * m + a + b - 2.0)
+        c4 = a * a - b * b
+        c5 = 2.0 * (m + a - 1.0) * (m + b - 1.0) * (2.0 * m + a + b)
+        pn, pm1 = (c2 * (c3 * x + c4) * pn - c5 * pm1) / c1, pn
+    return pn if x.ndim else pn[()]
+
+
+def test_jacobi_in_place_recurrence_matches_the_allocating_one_bit_for_bit():
+    rng = np.random.default_rng(23)
+    real = rng.uniform(-1.2, 1.2, 257)
+    points = [real, real + 1j * rng.uniform(-0.5, 0.5, 257), 0.3781, np.array(-0.61)]
+    for n in range(25):
+        for a in (-0.5, 0.5, 3.0):
+            for b in (0.0, 1.0, 7.0, 20.0):
+                for x in points:
+                    got, want = jacobi_eval(n, a, b, x), _jacobi_allocating(n, a, b, x)
+                    assert type(got) is type(want)
+                    got, want = np.asarray(got), np.asarray(want)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()  # the bits, signed zeros included
+
+
+def test_jacobi_leaves_a_read_only_argument_alone():
+    x = np.linspace(-1.0, 1.0, 33)
+    x.setflags(write=False)
+    before = x.copy()
+    for n in (0, 1, 2, 7):
+        jacobi_eval(n, 0.5, 3.0, x)
+    assert np.array_equal(x, before) and not x.flags.writeable
+
+
 def test_jacobi_params_validation():
     with pytest.raises(ValueError, match="nonnegative integer"):
         jacobi_eval(-1, 0.0, 0.0, 0.5)

@@ -240,6 +240,28 @@ def test_a_point_passed_alone_gets_its_batch_value(gamma):
         assert np.array_equal(alone, call(pts))  # bit for bit, not to a tolerance
 
 
+@pytest.mark.parametrize("gamma", [-0.5, 2.5])
+def test_evaluate_is_independent_of_batch_size(gamma):
+    # 20000 points: more than one block, and a batch whose per-mode arrays pass
+    # numpy's 256 KiB threshold for reusing temporaries in place
+    pts = _random_points(20000, radius=0.95, seed=17)
+    field = CoefficientField.random(gamma, 12, np.random.default_rng(11))
+    batch = field.evaluate(pts)
+    sliced = np.concatenate([field.evaluate(pts[i : i + 1000]) for i in range(0, pts.size, 1000)])
+    assert np.array_equal(sliced, batch)
+    assert np.array_equal([field.evaluate(complex(z)) for z in pts[:200]], batch[:200])
+
+
+def test_kernels_leave_a_read_only_point_array_alone():
+    z = disk_rule(0.5, 8, 12).z
+    before = z.copy()
+    field = CoefficientField.random(0.5, 6, np.random.default_rng(4))
+    disk_poly(3, 5, 0.5, z)
+    G_hat_eval(ZernikeIndex(6, 2, 0.5), z)
+    field.evaluate(z)
+    assert np.array_equal(z, before) and not z.flags.writeable
+
+
 def test_disk_poly_domain_error():
     with pytest.raises(ValueError, match="outside"):
         disk_poly(2, 1, 0.5, 1.2 + 0.3j)
